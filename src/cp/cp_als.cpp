@@ -1,5 +1,6 @@
 #include "src/cp/cp_als.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/obs/trace.hpp"
@@ -17,10 +18,7 @@ double cp_model_norm_squared(const std::vector<Matrix>& grams,
                              const std::vector<double>& lambda) {
   MTK_CHECK(!grams.empty(), "need at least one Gram matrix");
   const index_t r = grams.front().rows();
-  Matrix v = grams.front();
-  for (std::size_t k = 1; k < grams.size(); ++k) {
-    hadamard_inplace(v, grams[k]);
-  }
+  const Matrix v = hadamard_of_grams_except(grams, -1);
   double acc = 0.0;
   for (index_t p = 0; p < r; ++p) {
     for (index_t q = 0; q < r; ++q) {
@@ -47,19 +45,52 @@ double cp_inner_product(const Matrix& mttkrp_result, const Matrix& factor,
   return acc;
 }
 
-namespace {
-
-// Column 2-norm normalization; zero columns get weight 1 to stay invertible.
-std::vector<double> normalize_columns(Matrix& a) {
-  std::vector<double> norms = a.column_norms();
-  for (double& v : norms) {
-    if (v == 0.0) v = 1.0;
-  }
-  a.scale_columns_inv(norms);
-  return norms;
+double cp_fit(double norm_x, const std::vector<Matrix>& grams,
+              const std::vector<double>& lambda, const Matrix& mttkrp_result,
+              const Matrix& factor) {
+  const double norm_model_sq = cp_model_norm_squared(grams, lambda);
+  const double inner = cp_inner_product(mttkrp_result, factor, lambda);
+  const double residual_sq =
+      std::max(0.0, norm_x * norm_x + norm_model_sq - 2.0 * inner);
+  return 1.0 - std::sqrt(residual_sq) / norm_x;
 }
 
-}  // namespace
+Matrix hadamard_of_grams_except(const std::vector<Matrix>& grams, int skip) {
+  Matrix v;
+  bool first = true;
+  for (std::size_t k = 0; k < grams.size(); ++k) {
+    if (static_cast<int>(k) == skip) continue;
+    if (first) {
+      v = grams[k];
+      first = false;
+    } else {
+      hadamard_inplace(v, grams[k]);
+    }
+  }
+  MTK_CHECK(!first, "hadamard_of_grams_except: no Gram matrix left");
+  return v;
+}
+
+std::vector<double> normalize_factor_columns(Matrix& factor, Matrix& gram) {
+  const index_t r = factor.cols();
+  MTK_CHECK(gram.rows() == r && gram.cols() == r, "normalize: Gram is ",
+            gram.rows(), "x", gram.cols(), " for a rank-", r, " factor");
+  // Zero columns get weight 1 so the factor stays invertible.
+  std::vector<double> lambda(static_cast<std::size_t>(r));
+  for (index_t j = 0; j < r; ++j) {
+    const double norm = std::sqrt(gram.row(j)[j]);
+    lambda[static_cast<std::size_t>(j)] = norm == 0.0 ? 1.0 : norm;
+  }
+  factor.scale_columns_inv(lambda);
+  for (index_t p = 0; p < r; ++p) {
+    double* gp = gram.row(p);
+    for (index_t q = 0; q < r; ++q) {
+      gp[q] /= lambda[static_cast<std::size_t>(p)] *
+               lambda[static_cast<std::size_t>(q)];
+    }
+  }
+  return lambda;
+}
 
 CpAlsResult cp_als(const DenseTensor& x, const CpAlsOptions& opts) {
   return cp_als(StoredTensor::dense_view(x), opts);
@@ -156,6 +187,7 @@ CpAlsResult cp_als(const StoredTensor& x, const CpAlsOptions& opts) {
         const SketchedNormalEq eq = sketched_normal_eq_gaussian(
             x.as_dense(), result.model.factors, mode, s_count, srng);
         m = eq.rhs;
+        Span span(SpanCategory::kPhase, "solve");
         a = solve_spd_right(eq.gram, m);
       } else if (sampled) {
         KrpSample& sample = samples[static_cast<std::size_t>(mode)];
@@ -173,44 +205,36 @@ CpAlsResult cp_als(const StoredTensor& x, const CpAlsOptions& opts) {
                                  opts.mttkrp)
                 : mttkrp_sampled(x, result.model.factors, sample,
                                  opts.mttkrp);
-        a = solve_spd_right(
-            sketched_krp_gram(result.model.factors, sample), m);
+        const Matrix v = sketched_krp_gram(result.model.factors, sample);
+        Span span(SpanCategory::kPhase, "solve");
+        a = solve_spd_right(v, m);
       } else {
         m = forest != nullptr
                 ? mttkrp(*forest, result.model.factors, mode, opts.mttkrp)
                 : mttkrp(x, result.model.factors, mode, opts.mttkrp);
-
-        // V = Hadamard of all Gram matrices except mode's.
-        Matrix v(opts.rank, opts.rank, 0.0);
-        bool first = true;
-        for (int k = 0; k < n; ++k) {
-          if (k == mode) continue;
-          if (first) {
-            v = grams[static_cast<std::size_t>(k)];
-            first = false;
-          } else {
-            hadamard_inplace(v, grams[static_cast<std::size_t>(k)]);
-          }
-        }
-
-        a = solve_spd_right(v, m);
+        Span span(SpanCategory::kPhase, "solve");
+        a = solve_spd_right(hadamard_of_grams_except(grams, mode), m);
       }
-      result.model.lambda = normalize_columns(a);
+      Matrix& g = grams[static_cast<std::size_t>(mode)];
+      {
+        Span span(SpanCategory::kPhase, "gram");
+        g = gram(a);
+      }
+      {
+        Span span(SpanCategory::kPhase, "normalize");
+        result.model.lambda = normalize_factor_columns(a, g);
+      }
       result.model.factors[static_cast<std::size_t>(mode)] = std::move(a);
-      grams[static_cast<std::size_t>(mode)] =
-          gram(result.model.factors[static_cast<std::size_t>(mode)]);
       if (sampled) leverage_cache.invalidate(mode);
       if (mode == n - 1) last_mttkrp = std::move(m);
     }
 
-    const double norm_model_sq =
-        cp_model_norm_squared(grams, result.model.lambda);
-    const double inner = cp_inner_product(
-        last_mttkrp, result.model.factors[static_cast<std::size_t>(n - 1)],
-        result.model.lambda);
-    const double residual_sq =
-        std::max(0.0, norm_x * norm_x + norm_model_sq - 2.0 * inner);
-    const double fit = 1.0 - std::sqrt(residual_sq) / norm_x;
+    double fit = 0.0;
+    {
+      Span span(SpanCategory::kPhase, "fit");
+      fit = cp_fit(norm_x, grams, result.model.lambda, last_mttkrp,
+                   result.model.factors[static_cast<std::size_t>(n - 1)]);
+    }
 
     const double change = std::fabs(fit - previous_fit);
     result.trace.push_back({iter, fit, change});
@@ -230,14 +254,9 @@ CpAlsResult cp_als(const StoredTensor& x, const CpAlsOptions& opts) {
         forest != nullptr
             ? mttkrp(*forest, result.model.factors, n - 1, opts.mttkrp)
             : mttkrp(x, result.model.factors, n - 1, opts.mttkrp);
-    const double norm_model_sq =
-        cp_model_norm_squared(grams, result.model.lambda);
-    const double inner = cp_inner_product(
-        m_exact, result.model.factors[static_cast<std::size_t>(n - 1)],
-        result.model.lambda);
-    const double residual_sq =
-        std::max(0.0, norm_x * norm_x + norm_model_sq - 2.0 * inner);
-    result.final_fit = 1.0 - std::sqrt(residual_sq) / norm_x;
+    result.final_fit =
+        cp_fit(norm_x, grams, result.model.lambda, m_exact,
+               result.model.factors[static_cast<std::size_t>(n - 1)]);
   }
   result.leverage_rebuilds = leverage_cache.rebuilds();
   return result;

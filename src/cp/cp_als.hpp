@@ -84,9 +84,28 @@ CpAlsResult cp_als(const CsfTensor& x, const CpAlsOptions& opts);
 double cp_model_norm_squared(const std::vector<Matrix>& grams,
                              const std::vector<double>& lambda);
 
+// Hadamard product of every Gram matrix except grams[skip], in index order:
+// V of the mode-`skip` normal equations. A skip outside [0, grams.size())
+// multiplies all of them (the model-norm kernel).
+Matrix hadamard_of_grams_except(const std::vector<Matrix>& grams, int skip);
+
+// Normalizes the columns of a freshly solved factor to unit 2-norm given
+// its Gram matrix G = factor^T factor: lambda_j = sqrt(G(j,j)) (a zero
+// column keeps weight 1), the factor is divided by lambda in one pass, and
+// G is rescaled in place to the normalized factor's Gram,
+// G(p,q) / (lambda_p lambda_q). Returns lambda. Used by cp_als and
+// par_cp_als.
+std::vector<double> normalize_factor_columns(Matrix& factor, Matrix& gram);
+
 // <X, model> = sum_{i_n, r} lambda_r * A^(n)(i_n, r) * M(i_n, r), where M is
 // the mode-n MTTKRP against the *other* current factors.
 double cp_inner_product(const Matrix& mttkrp_result, const Matrix& factor,
                         const std::vector<double>& lambda);
+
+// Fit 1 - ||X - model|| / ||X|| from ||X||, the factor Grams and lambda, and
+// the mode-n MTTKRP `mttkrp_result` with the current mode-n `factor`.
+double cp_fit(double norm_x, const std::vector<Matrix>& grams,
+              const std::vector<double>& lambda, const Matrix& mttkrp_result,
+              const Matrix& factor);
 
 }  // namespace mtk

@@ -16,19 +16,6 @@
 
 namespace mtk {
 
-namespace {
-
-std::vector<double> normalize_columns(Matrix& a) {
-  std::vector<double> norms = a.column_norms();
-  for (double& v : norms) {
-    if (v == 0.0) v = 1.0;
-  }
-  a.scale_columns_inv(norms);
-  return norms;
-}
-
-}  // namespace
-
 ParCpAlsResult par_cp_als(const DenseTensor& x, const ParCpAlsOptions& opts) {
   return par_cp_als(StoredTensor::dense_view(x), opts);
 }
@@ -165,39 +152,33 @@ ParCpAlsResult par_cp_als(const StoredTensor& x, const ParCpAlsOptions& opts) {
                                       opts.kernel_variant);
       mttkrp_words_iter += transport.max_words_moved() - before;
 
-      Matrix v(opts.rank, opts.rank, 0.0);
-      bool first = true;
-      for (int k = 0; k < n; ++k) {
-        if (k == mode) continue;
-        if (first) {
-          v = grams[static_cast<std::size_t>(k)];
-          first = false;
-        } else {
-          hadamard_inplace(v, grams[static_cast<std::size_t>(k)]);
-        }
+      Matrix a;
+      {
+        Span span(SpanCategory::kPhase, "solve");
+        a = solve_spd_right(hadamard_of_grams_except(grams, mode), mr.b);
       }
-
-      Matrix a = solve_spd_right(v, mr.b);
-      result.model.lambda = normalize_columns(a);
+      Matrix& g = grams[static_cast<std::size_t>(mode)];
+      {
+        Span span(SpanCategory::kPhase, "gram");
+        before = transport.max_words_moved();
+        g = distributed_gram(transport, a, opts.collectives.gram);
+        gram_words_iter += transport.max_words_moved() - before;
+      }
+      {
+        Span span(SpanCategory::kPhase, "normalize");
+        result.model.lambda = normalize_factor_columns(a, g);
+      }
       result.model.factors[static_cast<std::size_t>(mode)] = std::move(a);
-
-      before = transport.max_words_moved();
-      grams[static_cast<std::size_t>(mode)] = distributed_gram(
-          transport, result.model.factors[static_cast<std::size_t>(mode)],
-          opts.collectives.gram);
-      gram_words_iter += transport.max_words_moved() - before;
 
       if (mode == n - 1) last_mttkrp = std::move(mr.b);
     }
 
-    const double norm_model_sq =
-        cp_model_norm_squared(grams, result.model.lambda);
-    const double inner = cp_inner_product(
-        last_mttkrp, result.model.factors[static_cast<std::size_t>(n - 1)],
-        result.model.lambda);
-    const double residual_sq =
-        std::max(0.0, norm_x * norm_x + norm_model_sq - 2.0 * inner);
-    const double fit = 1.0 - std::sqrt(residual_sq) / norm_x;
+    double fit = 0.0;
+    {
+      Span span(SpanCategory::kPhase, "fit");
+      fit = cp_fit(norm_x, grams, result.model.lambda, last_mttkrp,
+                   result.model.factors[static_cast<std::size_t>(n - 1)]);
+    }
 
     const index_t messages_iter =
         transport.max_messages_sent() - msgs_before_iter;

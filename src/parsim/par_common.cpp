@@ -71,16 +71,12 @@ Matrix distributed_gram(Transport& transport, const Matrix& a,
 
   std::vector<std::vector<double>> partials(static_cast<std::size_t>(p));
   for (int rank = 0; rank < p; ++rank) {
+    // Upper triangle only, then mirrored: products commute exactly, so
+    // this gives the bits of the full R x R accumulation at half the flops.
     Matrix partial(r, r, 0.0);
     const Range rg = rows[static_cast<std::size_t>(rank)];
-    for (index_t i = rg.lo; i < rg.hi; ++i) {
-      const double* arow = a.row(i);
-      for (index_t s = 0; s < r; ++s) {
-        for (index_t t = 0; t < r; ++t) {
-          partial(s, t) += arow[s] * arow[t];
-        }
-      }
-    }
+    gram_upper_accumulate(a, rg.lo, rg.hi, partial.data());
+    mirror_upper(partial);
     partials[static_cast<std::size_t>(rank)].assign(
         partial.data(), partial.data() + partial.size());
   }

@@ -1,5 +1,6 @@
 #include "src/serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -12,6 +13,7 @@
 #include "src/planner/plan_cache.hpp"
 #include "src/sketch/sampled_mttkrp.hpp"
 #include "src/support/json.hpp"
+#include "src/support/omp_threads.hpp"
 #include "src/support/rng.hpp"
 
 namespace mtk {
@@ -633,6 +635,11 @@ std::string MttkrpServer::execute_control(Request& req) {
 // Worker pool: batch coalescing + data-plane execution.
 
 void MttkrpServer::worker_loop() {
+  // The OpenMP team size is per thread (libgomp keeps it in the thread's
+  // own ICVs), so each worker pins its own once: with local_threads = 0 the
+  // threaded regions of a request (solve, Gram, kernels) stay on this
+  // worker instead of starting a full team inside every worker.
+  const OmpThreadCountGuard omp(std::max(1, opts_.local_threads));
   for (;;) {
     std::vector<std::unique_ptr<Request>> batch;
     {

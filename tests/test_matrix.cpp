@@ -2,8 +2,12 @@
 // solves, norms, and column scaling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "src/support/omp_threads.hpp"
 #include "src/support/rng.hpp"
 #include "src/tensor/matrix.hpp"
 
@@ -150,6 +154,150 @@ TEST(SolveSpdRight, RejectsNonSquare) {
                std::invalid_argument);
   EXPECT_THROW(solve_spd_right(Matrix(3, 3), Matrix(2, 4)),
                std::invalid_argument);
+}
+
+// The one-row-at-a-time solve the interleaved solve_spd_right must match
+// bit for bit: the same jittered Cholesky, then one forward and one
+// backward substitution per right-hand-side row.
+Matrix reference_solve_spd_right(const Matrix& s, const Matrix& rhs) {
+  const index_t n = s.rows();
+  double scale = 0.0;
+  for (index_t i = 0; i < n; ++i) scale = std::max(scale, std::fabs(s(i, i)));
+  if (scale == 0.0) scale = 1.0;
+  Matrix l;
+  double jitter = 0.0;
+  for (;;) {
+    l = s;
+    for (index_t i = 0; i < n; ++i) l(i, i) += jitter;
+    bool ok = true;
+    for (index_t j = 0; j < n && ok; ++j) {
+      double d = l(j, j);
+      for (index_t p = 0; p < j; ++p) d -= l(j, p) * l(j, p);
+      if (d <= 0.0) {
+        ok = false;
+        break;
+      }
+      const double ljj = std::sqrt(d);
+      l(j, j) = ljj;
+      for (index_t i = j + 1; i < n; ++i) {
+        double v = l(i, j);
+        for (index_t p = 0; p < j; ++p) v -= l(i, p) * l(j, p);
+        l(i, j) = v / ljj;
+      }
+    }
+    if (ok) break;
+    jitter = (jitter == 0.0) ? scale * 1e-14 : jitter * 10.0;
+  }
+  Matrix x(rhs.rows(), n);
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (index_t r = 0; r < rhs.rows(); ++r) {
+    for (index_t j = 0; j < n; ++j) b[static_cast<std::size_t>(j)] = rhs(r, j);
+    for (index_t i = 0; i < n; ++i) {
+      double v = b[static_cast<std::size_t>(i)];
+      for (index_t p = 0; p < i; ++p) {
+        v -= l(i, p) * b[static_cast<std::size_t>(p)];
+      }
+      b[static_cast<std::size_t>(i)] = v / l(i, i);
+    }
+    for (index_t i = n - 1; i >= 0; --i) {
+      double v = b[static_cast<std::size_t>(i)];
+      for (index_t p = i + 1; p < n; ++p) {
+        v -= l(p, i) * b[static_cast<std::size_t>(p)];
+      }
+      b[static_cast<std::size_t>(i)] = v / l(i, i);
+    }
+    for (index_t j = 0; j < n; ++j) x(r, j) = b[static_cast<std::size_t>(j)];
+  }
+  return x;
+}
+
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) *
+                                              sizeof(double)) == 0);
+}
+
+TEST(SolveSpdRight, BitIdenticalToPerRowSubstitution) {
+  Rng rng(29);
+  const index_t row_counts[] = {0, 1, 7, 8, 9, 1000, 71272};
+  const index_t orders[] = {1, 2, 3, 16, 33};
+  for (index_t n : orders) {
+    // Well conditioned: S = Q'Q + I. Semidefinite: the all-ones matrix,
+    // whose Cholesky needs the jitter escalation (except at n = 1).
+    Matrix spd = gram(Matrix::random_normal(n + 3, n, rng));
+    for (index_t i = 0; i < n; ++i) spd(i, i) += 1.0;
+    const Matrix ones(n, n, 1.0);
+    for (index_t rows : row_counts) {
+      const Matrix rhs = Matrix::random_normal(rows, n, rng);
+      const Matrix* cases[] = {&spd, &ones};
+      for (const Matrix* s : cases) {
+        const Matrix expected = reference_solve_spd_right(*s, rhs);
+        for (int threads : {1, 4}) {
+          OmpThreadCountGuard omp(threads);
+          EXPECT_TRUE(bit_equal(solve_spd_right(*s, rhs), expected))
+              << rows << " rows, order " << n << ", "
+              << (s == &spd ? "SPD" : "semidefinite") << ", " << threads
+              << " threads";
+        }
+      }
+    }
+  }
+}
+
+Matrix naive_gram(const Matrix& a) {
+  Matrix g(a.cols(), a.cols());
+  for (index_t p = 0; p < a.cols(); ++p) {
+    for (index_t q = 0; q < a.cols(); ++q) {
+      double acc = 0.0;
+      for (index_t i = 0; i < a.rows(); ++i) acc += a(i, p) * a(i, q);
+      g(p, q) = acc;
+    }
+  }
+  return g;
+}
+
+TEST(Gram, BlockedSumIsThreadCountIndependentAndAccurate) {
+  Rng rng(31);
+  const index_t shapes[][2] = {{0, 4},     {1, 1},     {2047, 5},
+                               {2048, 16}, {2049, 16}, {10000, 16},
+                               {9001, 33}, {4097, 1}};
+  for (const auto& sh : shapes) {
+    const Matrix a = Matrix::random_normal(sh[0], sh[1], rng);
+    Matrix serial;
+    {
+      OmpThreadCountGuard omp(1);
+      serial = gram(a);
+    }
+    Matrix threaded;
+    {
+      OmpThreadCountGuard omp(4);
+      threaded = gram(a);
+    }
+    EXPECT_TRUE(bit_equal(serial, threaded)) << sh[0] << "x" << sh[1];
+    const Matrix expected = naive_gram(a);
+    EXPECT_LE(max_abs_diff(serial, expected),
+              1e-12 * std::max(1.0, expected.max_abs()))
+        << sh[0] << "x" << sh[1];
+    for (index_t p = 0; p < sh[1]; ++p) {
+      for (index_t q = 0; q < p; ++q) EXPECT_EQ(serial(p, q), serial(q, p));
+    }
+  }
+}
+
+TEST(Gram, SingleBlockIsThePlainRowOrderSum) {
+  Rng rng(37);
+  const Matrix a = Matrix::random_normal(kGramBlockRows, 7, rng);
+  Matrix expected(7, 7);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t p = 0; p < 7; ++p) {
+      for (index_t q = p; q < 7; ++q) expected(p, q) += a(i, p) * a(i, q);
+    }
+  }
+  for (index_t p = 0; p < 7; ++p) {
+    for (index_t q = 0; q < p; ++q) expected(p, q) = expected(q, p);
+  }
+  EXPECT_TRUE(bit_equal(gram(a), expected));
 }
 
 TEST(Matrix, ColumnNormsAndScaling) {

@@ -213,6 +213,68 @@ TEST(Tracer, RecordsNestedSpansWithArgs) {
             outer->start_ns + outer->dur_ns);
 }
 
+// Every phase span of a CP-ALS run lies inside one sweep span on the
+// orchestrator track; per sweep there is one solve, gram and normalize per
+// mode and one fit.
+void expect_cp_layer_spans(const std::vector<TraceEvent>& events,
+                           const char* sweep_name, int sweeps, int order) {
+  std::vector<const TraceEvent*> sweep_spans;
+  for (const TraceEvent& e : events) {
+    if (e.category == SpanCategory::kSweep &&
+        std::string(e.name) == sweep_name) {
+      sweep_spans.push_back(&e);
+    }
+  }
+  ASSERT_EQ(static_cast<std::size_t>(sweeps), sweep_spans.size());
+  const std::map<std::string, int> per_sweep = {
+      {"solve", order}, {"gram", order}, {"normalize", order}, {"fit", 1}};
+  std::map<const TraceEvent*, std::map<std::string, int>> seen;
+  for (const TraceEvent& e : events) {
+    if (e.category != SpanCategory::kPhase) continue;
+    const std::string name = e.name;
+    if (per_sweep.count(name) == 0) continue;
+    EXPECT_EQ(0, e.track) << name;
+    const TraceEvent* parent = nullptr;
+    for (const TraceEvent* sw : sweep_spans) {
+      if (e.track == sw->track && e.start_ns >= sw->start_ns &&
+          e.start_ns + e.dur_ns <= sw->start_ns + sw->dur_ns) {
+        parent = sw;
+      }
+    }
+    ASSERT_NE(nullptr, parent) << name << " span outside every sweep";
+    ++seen[parent][name];
+  }
+  for (const TraceEvent* sw : sweep_spans) {
+    EXPECT_EQ(per_sweep, seen[sw]) << sweep_name;
+  }
+}
+
+TEST(Tracer, CpAlsSweepsHaveLayerSpans) {
+  Rng rng(9);
+  const SparseTensor x = SparseTensor::random_sparse({12, 10, 8}, 0.2, rng);
+  CpAlsOptions copts;
+  copts.rank = 4;
+  copts.max_iterations = 3;
+  copts.tolerance = 0.0;
+  ParCpAlsOptions popts;
+  popts.rank = 4;
+  popts.max_iterations = 2;
+  popts.tolerance = 0.0;
+  popts.grid = {2, 1, 2};
+
+  TraceSession seq_session;
+  seq_session.start();
+  (void)cp_als(StoredTensor::coo_view(x), copts);
+  seq_session.stop();
+  expect_cp_layer_spans(seq_session.events(), "cp_als sweep", 3, 3);
+
+  TraceSession par_session;
+  par_session.start();
+  (void)par_cp_als(StoredTensor::coo_view(x), popts);
+  par_session.stop();
+  expect_cp_layer_spans(par_session.events(), "par_cp_als sweep", 2, 3);
+}
+
 TEST(Tracer, ThreadTransportAttributesSpansToRankTracks) {
   Rng rng(5);
   const shape_t dims = {12, 10, 8};

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/cp/cp_als.hpp"
 #include "src/cp/cp_gradient.hpp"
+#include "src/support/omp_threads.hpp"
 #include "src/support/rng.hpp"
 
 namespace mtk {
@@ -113,6 +115,40 @@ TEST(SparseCpGradient, MatchesDenseOnSameData) {
   EXPECT_NEAR(on_csf.final_objective, on_dense.final_objective,
               1e-6 * std::max(1.0, std::fabs(on_dense.final_objective)));
   EXPECT_EQ(on_coo.iterations, on_dense.iterations);
+}
+
+TEST(SparseCpAls, ThreadCountDoesNotChangeTheBits) {
+  // Mode 0 is long enough for a multi-block Gram and a threaded solve.
+  Rng rng(233);
+  const SparseTensor x =
+      SparseTensor::random_sparse({20000, 40, 30}, 1e-3, rng);
+  CpAlsOptions opts;
+  opts.rank = 8;
+  opts.max_iterations = 4;
+  opts.tolerance = 0.0;
+  opts.mttkrp.parallel = true;
+  const StoredTensor stored = StoredTensor::coo_view(x);
+  CpAlsResult one, four;
+  {
+    OmpThreadCountGuard omp(1);
+    one = cp_als(stored, opts);
+  }
+  {
+    OmpThreadCountGuard omp(4);
+    four = cp_als(stored, opts);
+  }
+  EXPECT_EQ(0, std::memcmp(&one.final_fit, &four.final_fit, sizeof(double)));
+  ASSERT_EQ(one.model.factors.size(), four.model.factors.size());
+  for (std::size_t k = 0; k < one.model.factors.size(); ++k) {
+    const Matrix& a = one.model.factors[k];
+    const Matrix& b = four.model.factors[k];
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                             static_cast<std::size_t>(a.size()) *
+                                 sizeof(double)))
+        << "factor " << k;
+  }
+  EXPECT_EQ(one.model.lambda, four.model.lambda);
 }
 
 TEST(SparseCpAls, RejectsZeroTensor) {
