@@ -7,9 +7,8 @@
 #include <cstdio>
 #include <numeric>
 
-#include "src/parsim/collective_variants.hpp"
-#include "src/parsim/collectives.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/transport/transport.hpp"
 #include "src/support/rng.hpp"
 
 int main() {
@@ -29,14 +28,14 @@ int main() {
       rng.fill_normal(c);
     }
 
-    Machine ring(q), rec(q);
-    all_gather_bucket(ring, group, contribs);
-    all_gather_doubling(rec, group, contribs);
+    SimTransport ring(q), rec(q);
+    ring.all_gather(group, contribs, CollectiveKind::kBucket);
+    rec.all_gather(group, contribs, CollectiveKind::kRecursive);
     std::printf("%-6d %16lld %16lld %12lld %12lld\n", q,
                 static_cast<long long>(ring.stats(0).words_sent),
                 static_cast<long long>(rec.stats(0).words_sent),
-                static_cast<long long>(max_messages_sent(ring, group)),
-                static_cast<long long>(max_messages_sent(rec, group)));
+                static_cast<long long>(ring.max_messages_sent()),
+                static_cast<long long>(rec.max_messages_sent()));
   }
 
   std::printf("\nReduce-Scatter of q x 64-word chunks\n\n");
@@ -50,14 +49,16 @@ int main() {
         static_cast<std::size_t>(q),
         std::vector<double>(static_cast<std::size_t>(len), 1.0));
 
-    Machine ring(q), rec(q);
-    reduce_scatter_bucket(ring, group, inputs, flat_chunk_sizes(len, q));
-    reduce_scatter_halving(rec, group, inputs);
+    SimTransport ring(q), rec(q);
+    ring.reduce_scatter(group, inputs, flat_chunk_sizes(len, q),
+                        CollectiveKind::kBucket);
+    rec.reduce_scatter(group, inputs, flat_chunk_sizes(len, q),
+                       CollectiveKind::kRecursive);
     std::printf("%-6d %16lld %16lld %12lld %12lld\n", q,
                 static_cast<long long>(ring.stats(0).words_sent),
                 static_cast<long long>(rec.stats(0).words_sent),
-                static_cast<long long>(max_messages_sent(ring, group)),
-                static_cast<long long>(max_messages_sent(rec, group)));
+                static_cast<long long>(ring.max_messages_sent()),
+                static_cast<long long>(rec.max_messages_sent()));
   }
 
   std::printf("\nReading: identical bandwidth, log2(q) vs q-1 latency —\n"

@@ -72,10 +72,10 @@ int main() {
     int p = grid[0] * grid[1] * grid[2];
     index_t separate = 0;
     for (int mode = 0; mode < 3; ++mode) {
-      Machine machine(p);
-      separate +=
-          par_mttkrp_stationary(machine, x, factors, mode, grid)
-              .max_words_moved;
+      SimTransport sim(p);
+      separate += par_mttkrp_stationary(sim, StoredTensor::dense_view(x),
+                                        factors, mode, grid)
+                      .max_words_moved;
     }
     const ParAllModesResult all = par_mttkrp_all_modes(x, factors, grid);
     std::printf("%dx%dx%-6d %14lld %14lld %7.2fx\n", grid[0], grid[1],

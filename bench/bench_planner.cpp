@@ -62,12 +62,12 @@ void sweep(mtk_bench::Telemetry& tele, const char* label,
     const PlanReport report = plan_mttkrp(x, rank, opts);
     const ExecutionPlan& plan = report.best();
 
-    Machine machine(procs);
+    SimTransport sim(procs);
     const ParMttkrpResult r =
         plan.algo == ParAlgo::kGeneral
-            ? par_mttkrp_general(machine, x, factors, 0, plan.grid,
+            ? par_mttkrp_general(sim, x, factors, 0, plan.grid,
                                  plan.collectives, plan.scheme)
-            : par_mttkrp_stationary(machine, x, factors, 0, plan.grid,
+            : par_mttkrp_stationary(sim, x, factors, 0, plan.grid,
                                     plan.collectives, plan.scheme);
     const double simulated = static_cast<double>(r.max_words_moved);
     const double simulated_msgs = static_cast<double>(r.max_messages);
@@ -77,7 +77,7 @@ void sweep(mtk_bench::Telemetry& tele, const char* label,
             : std::abs(plan.comm.words);
     // Under kBlock the replay is exact, so words must agree within 10%
     // and the message count must match the simulator *exactly* — any
-    // drift marks a predictor/dispatcher divergence.
+    // drift marks a predictor/schedule divergence.
     const bool within =
         std::abs(simulated - plan.comm.words) <=
             0.10 * std::max(simulated, 1.0) &&

@@ -33,6 +33,7 @@
 #include "src/cp/cp_als.hpp"
 #include "src/io/frostt_presets.hpp"
 #include "src/mttkrp/dispatch.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sketch/krp_sample.hpp"
 #include "src/sketch/sampled_mttkrp.hpp"
 #include "src/support/omp_threads.hpp"
@@ -251,7 +252,8 @@ void BM_AllModesFused(benchmark::State& state) {
   const SkewFixture& f = skew_fixture();
   const StoredTensor handle = StoredTensor::coo_view(f.coo);
   const AllModesResult warm = mttkrp_all_modes(handle, f.factors);
-  const index_t builds_before = CsfTensor::build_count();
+  const Counter& builds = MetricsRegistry::global().counter("mtk.csf.builds");
+  const index_t builds_before = builds.value();
   for (auto _ : state) {
     AllModesResult r = mttkrp_all_modes(handle, f.factors);
     benchmark::DoNotOptimize(r.outputs.front().data());
@@ -262,7 +264,7 @@ void BM_AllModesFused(benchmark::State& state) {
       static_cast<double>(csf_separate_multiply_count(forest, kSweepRank)) /
       static_cast<double>(warm.multiplies);
   state.counters["csf_rebuilds_per_iter"] =
-      static_cast<double>(CsfTensor::build_count() - builds_before -
+      static_cast<double>(builds.value() - builds_before -
                           forest.tree_count()) /
       static_cast<double>(state.iterations());
   state.counters["nnz"] = static_cast<double>(f.coo.nnz());

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "src/parsim/schedule.hpp"
 #include "src/support/check.hpp"
 #include "src/support/index.hpp"
 #include "src/support/math_util.hpp"
@@ -203,10 +204,11 @@ GridSearchResult optimal_general_grid_sparse(const CostProblem& p, index_t nnz,
 
 double collective_rounds_model(double group_size, bool recursive) {
   if (group_size <= 1.0) return 0.0;
-  const index_t q = static_cast<index_t>(group_size + 0.5);
-  if (recursive && is_pow2(q)) {
-    return static_cast<double>(ilog2(q));  // same count parsim's
-                                           // collective_rounds uses
+  // The balanced model's chunks are uniform, so only the group size decides.
+  const int q = static_cast<int>(group_size + 0.5);
+  if (recursive && recursive_applies(CollectiveOp::kAllGather, q, true)) {
+    return static_cast<double>(Collective{CollectiveOp::kAllGather, q, true}
+                                   .rounds());
   }
   return group_size - 1.0;
 }

@@ -258,7 +258,6 @@ CpAlsResult cp_als(const StoredTensor& x, const CpAlsOptions& opts) {
         cp_fit(norm_x, grams, result.model.lambda, m_exact,
                result.model.factors[static_cast<std::size_t>(n - 1)]);
   }
-  result.leverage_rebuilds = leverage_cache.rebuilds();
   return result;
 }
 

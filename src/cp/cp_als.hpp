@@ -66,10 +66,6 @@ struct CpAlsResult {
   double final_fit = 0.0;
   int iterations = 0;
   bool converged = false;
-  // Sampled runs only: leverage-CDF rebuilds performed by the per-mode
-  // sampler cache. Stays well below redraws x (n-1) per sweep because a
-  // factor's CDF is recomputed only after that factor actually changed.
-  index_t leverage_rebuilds = 0;
 };
 
 // Storage-polymorphic driver; runs unmodified on dense, COO, or CSF input.

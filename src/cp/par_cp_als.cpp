@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "src/obs/trace.hpp"
-#include "src/parsim/collectives.hpp"
 #include "src/planner/plan_cache.hpp"
 #include "src/tensor/csf.hpp"
 #include "src/parsim/distribution.hpp"

@@ -19,8 +19,8 @@
 #pragma once
 
 #include "src/cp/cp_gradient.hpp"
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/planner/planner.hpp"
 

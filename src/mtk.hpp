@@ -50,13 +50,12 @@
 #include "src/obs/drift.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/parsim/collective_variants.hpp"
-#include "src/parsim/collectives.hpp"
 #include "src/parsim/distribution.hpp"
 #include "src/parsim/grid.hpp"
 #include "src/parsim/machine.hpp"
 #include "src/parsim/par_mttkrp.hpp"
 #include "src/parsim/par_multi_mttkrp.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/counting_transport.hpp"
 #include "src/parsim/transport/thread_transport.hpp"
 #include "src/parsim/transport/transport.hpp"

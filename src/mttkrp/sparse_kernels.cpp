@@ -16,10 +16,10 @@ namespace mtk {
 namespace {
 
 // Which schedule actually executed, process-wide — the regression hook for
-// planner plumbing, now homed on the MetricsRegistry under the stable
-// mtk.kernel.variant.* names (kernel_variant_counters() reads them back).
-// `serial` counts the kAuto fast path that bypasses scheduling. The
-// function-local statics resolve the registry lookup once per process.
+// planner plumbing, on the MetricsRegistry under the stable
+// mtk.kernel.variant.* names. `serial` counts the kAuto fast path that
+// bypasses scheduling. The function-local statics resolve the registry
+// lookup once per process.
 Counter& serial_counter() {
   static Counter& c =
       MetricsRegistry::global().counter("mtk.kernel.variant.serial");
@@ -180,22 +180,6 @@ SparseKernelVariant resolve_coo_variant(SparseKernelVariant variant, int mode,
 }
 
 }  // namespace
-
-KernelVariantCounters kernel_variant_counters() {
-  KernelVariantCounters c;
-  c.serial = serial_counter().value();
-  c.privatized = privatized_counter().value();
-  c.atomic_adds = atomic_counter().value();
-  c.tiled = tiled_counter().value();
-  return c;
-}
-
-void reset_kernel_variant_counters() {
-  serial_counter().reset();
-  privatized_counter().reset();
-  atomic_counter().reset();
-  tiled_counter().reset();
-}
 
 Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
                   int mode, bool parallel, SparseKernelVariant variant) {

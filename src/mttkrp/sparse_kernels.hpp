@@ -38,19 +38,13 @@
 
 namespace mtk {
 
-// Process-wide counts of which sparse-kernel schedule actually executed —
-// the regression hook for planner plumbing: tests assert that a plan's
-// kernel_variant reaches the kernels instead of being silently dropped.
-// `serial` counts kAuto calls that took the unscheduled serial fast path;
-// explicitly requested variants always land in their schedule's counter.
-struct KernelVariantCounters {
-  index_t serial = 0;
-  index_t privatized = 0;
-  index_t atomic_adds = 0;
-  index_t tiled = 0;
-};
-KernelVariantCounters kernel_variant_counters();
-void reset_kernel_variant_counters();
+// Every call counts the schedule that actually executed on the
+// mtk.kernel.variant.{serial,privatized,atomic,tiled} registry counters
+// (src/obs/metrics.hpp) — the regression hook for planner plumbing: tests
+// assert that a plan's kernel_variant reaches the kernels instead of being
+// silently dropped. `serial` counts kAuto calls that took the unscheduled
+// serial fast path; explicitly requested variants always land in their
+// schedule's counter.
 
 // Direct sparse kernels (used by the dispatch layer, tests, benchmarks).
 Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,

@@ -93,12 +93,6 @@ Matrix distributed_gram(Transport& transport, const Matrix& a,
   return g;
 }
 
-Matrix distributed_gram(Machine& machine, const Matrix& a,
-                        CollectiveKind kind) {
-  SimTransport transport(machine);
-  return distributed_gram(static_cast<Transport&>(transport), a, kind);
-}
-
 std::vector<double> flatten_rows(const Matrix& m, Range rows) {
   std::vector<double> flat;
   flat.reserve(static_cast<std::size_t>(rows.length() * m.cols()));

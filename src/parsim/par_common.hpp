@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "src/mttkrp/dispatch.hpp"
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/grid.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/tensor/block.hpp"
 #include "src/tensor/matrix.hpp"
@@ -76,8 +76,6 @@ Matrix unflatten_matrix(const std::vector<double>& flat, index_t rows,
 // exact Gram and charges the traffic to the transport. Shared by par_cp_als
 // and par_cp_gradient.
 Matrix distributed_gram(Transport& transport, const Matrix& a,
-                        CollectiveKind kind);
-Matrix distributed_gram(Machine& machine, const Matrix& a,
                         CollectiveKind kind);
 
 // Line 4 of Algorithms 3/4 for one input factor: All-Gathers the block rows

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "src/mttkrp/mttkrp.hpp"
-#include "src/parsim/collectives.hpp"
 #include "src/parsim/grid.hpp"
 #include "src/parsim/par_common.hpp"
 #include "src/tensor/block.hpp"
@@ -144,17 +143,6 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
                          &dist.local, nullptr, collectives, kernel_variant);
 }
 
-ParMttkrpResult par_mttkrp_stationary(Machine& machine, const StoredTensor& x,
-                                      const std::vector<Matrix>& factors,
-                                      int mode,
-                                      const std::vector<int>& grid_shape,
-                                      CollectiveSchedule collectives,
-                                      SparsePartitionScheme scheme) {
-  SimTransport transport(machine);
-  return par_mttkrp_stationary(static_cast<Transport&>(transport), x, factors,
-                               mode, grid_shape, collectives, scheme);
-}
-
 StationarySparsePlan plan_stationary_sparse(const StoredTensor& x,
                                             const std::vector<int>& grid_shape,
                                             SparsePartitionScheme scheme) {
@@ -213,17 +201,6 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
   return stationary_impl(transport, x, factors, mode, grid, dist.mode_ranges,
                          &dist.local, use_forest ? &plan.forest : nullptr,
                          collectives, kernel_variant);
-}
-
-ParMttkrpResult par_mttkrp_stationary(Machine& machine, const StoredTensor& x,
-                                      const std::vector<Matrix>& factors,
-                                      int mode,
-                                      const std::vector<int>& grid_shape,
-                                      const StationarySparsePlan& plan,
-                                      CollectiveSchedule collectives) {
-  SimTransport transport(machine);
-  return par_mttkrp_stationary(static_cast<Transport&>(transport), x, factors,
-                               mode, grid_shape, plan, collectives);
 }
 
 ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
@@ -499,52 +476,25 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
   return finalize(transport, std::move(b));
 }
 
-ParMttkrpResult par_mttkrp_general(Machine& machine, const StoredTensor& x,
-                                   const std::vector<Matrix>& factors,
-                                   int mode,
-                                   const std::vector<int>& grid_shape,
-                                   CollectiveSchedule collectives,
-                                   SparsePartitionScheme scheme) {
-  SimTransport transport(machine);
-  return par_mttkrp_general(static_cast<Transport&>(transport), x, factors,
-                            mode, grid_shape, collectives, scheme);
-}
-
 // ---------------------------------------------------------------------------
-// Dense overloads and convenience wrappers.
-
-ParMttkrpResult par_mttkrp_stationary(Machine& machine, const DenseTensor& x,
-                                      const std::vector<Matrix>& factors,
-                                      int mode,
-                                      const std::vector<int>& grid_shape,
-                                      CollectiveSchedule collectives) {
-  return par_mttkrp_stationary(machine, StoredTensor::dense_view(x), factors,
-                               mode, grid_shape, collectives);
-}
-
-ParMttkrpResult par_mttkrp_general(Machine& machine, const DenseTensor& x,
-                                   const std::vector<Matrix>& factors,
-                                   int mode,
-                                   const std::vector<int>& grid_shape,
-                                   CollectiveSchedule collectives) {
-  return par_mttkrp_general(machine, StoredTensor::dense_view(x), factors,
-                            mode, grid_shape, collectives);
-}
+// Convenience wrappers.
 
 ParMttkrpResult par_mttkrp_stationary(const DenseTensor& x,
                                       const std::vector<Matrix>& factors,
                                       int mode,
                                       const std::vector<int>& grid_shape) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_stationary(machine, x, factors, mode, grid_shape);
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_stationary(transport, StoredTensor::dense_view(x), factors,
+                               mode, grid_shape);
 }
 
 ParMttkrpResult par_mttkrp_general(const DenseTensor& x,
                                    const std::vector<Matrix>& factors,
                                    int mode,
                                    const std::vector<int>& grid_shape) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_general(machine, x, factors, mode, grid_shape);
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_general(transport, StoredTensor::dense_view(x), factors,
+                            mode, grid_shape);
 }
 
 ParMttkrpResult par_mttkrp_stationary(const StoredTensor& x,
@@ -552,8 +502,8 @@ ParMttkrpResult par_mttkrp_stationary(const StoredTensor& x,
                                       int mode,
                                       const std::vector<int>& grid_shape,
                                       SparsePartitionScheme scheme) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_stationary(machine, x, factors, mode, grid_shape,
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_stationary(transport, x, factors, mode, grid_shape,
                                CollectiveKind::kBucket, scheme);
 }
 
@@ -562,8 +512,8 @@ ParMttkrpResult par_mttkrp_general(const StoredTensor& x,
                                    int mode,
                                    const std::vector<int>& grid_shape,
                                    SparsePartitionScheme scheme) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_general(machine, x, factors, mode, grid_shape,
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_general(transport, x, factors, mode, grid_shape,
                             CollectiveKind::kBucket, scheme);
 }
 

@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "src/mttkrp/dispatch.hpp"
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/tensor/dense_tensor.hpp"
 #include "src/tensor/matrix.hpp"
@@ -70,15 +70,6 @@ ParMttkrpResult par_mttkrp_stationary(
     SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
 
-// Machine-backed compatibility overload (borrows the machine via a
-// SimTransport, so counters accumulate where existing callers read them).
-ParMttkrpResult par_mttkrp_stationary(
-    Machine& machine, const StoredTensor& x,
-    const std::vector<Matrix>& factors, int mode,
-    const std::vector<int>& grid_shape,
-    CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock);
-
 // Reusable per-process state for repeated stationary MTTKRPs on one sparse
 // tensor and grid (par_cp_als runs N x iterations of them): the nonzero
 // distribution plus, for CSF input, the per-rank one-tree-per-mode forest
@@ -102,11 +93,6 @@ ParMttkrpResult par_mttkrp_stationary(
     const std::vector<int>& grid_shape, const StationarySparsePlan& plan,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
-ParMttkrpResult par_mttkrp_stationary(
-    Machine& machine, const StoredTensor& x,
-    const std::vector<Matrix>& factors, int mode,
-    const std::vector<int>& grid_shape, const StationarySparsePlan& plan,
-    CollectiveSchedule collectives = CollectiveKind::kBucket);
 
 // Algorithm 4, storage-polymorphic. `grid_shape` must have N+1 entries
 // ordered (P0, P1..PN) with product equal to the rank count,
@@ -118,26 +104,9 @@ ParMttkrpResult par_mttkrp_general(
     CollectiveSchedule collectives = CollectiveKind::kBucket,
     SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
-ParMttkrpResult par_mttkrp_general(
-    Machine& machine, const StoredTensor& x,
-    const std::vector<Matrix>& factors, int mode,
-    const std::vector<int>& grid_shape,
-    CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock);
 
-// Dense overloads (delegate to the StoredTensor drivers via borrowed views).
-ParMttkrpResult par_mttkrp_stationary(
-    Machine& machine, const DenseTensor& x,
-    const std::vector<Matrix>& factors, int mode,
-    const std::vector<int>& grid_shape,
-    CollectiveSchedule collectives = CollectiveKind::kBucket);
-ParMttkrpResult par_mttkrp_general(
-    Machine& machine, const DenseTensor& x,
-    const std::vector<Matrix>& factors, int mode,
-    const std::vector<int>& grid_shape,
-    CollectiveSchedule collectives = CollectiveKind::kBucket);
-
-// Convenience wrappers that build a fresh machine with prod(grid) ranks.
+// Convenience wrappers that run on a fresh SimTransport with prod(grid)
+// ranks.
 ParMttkrpResult par_mttkrp_stationary(const DenseTensor& x,
                                       const std::vector<Matrix>& factors,
                                       int mode,

@@ -179,17 +179,6 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
                         &dist.local, nullptr, collectives, kernel_variant);
 }
 
-ParAllModesResult par_mttkrp_all_modes(Machine& machine,
-                                       const StoredTensor& x,
-                                       const std::vector<Matrix>& factors,
-                                       const std::vector<int>& grid_shape,
-                                       CollectiveSchedule collectives,
-                                       SparsePartitionScheme scheme) {
-  SimTransport transport(machine);
-  return par_mttkrp_all_modes(static_cast<Transport&>(transport), x, factors,
-                              grid_shape, collectives, scheme);
-}
-
 AllModesSparsePlan plan_all_modes_sparse(const StoredTensor& x,
                                          const std::vector<int>& grid_shape,
                                          SparsePartitionScheme scheme) {
@@ -237,37 +226,20 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
                         kernel_variant);
 }
 
-ParAllModesResult par_mttkrp_all_modes(Machine& machine,
-                                       const StoredTensor& x,
-                                       const std::vector<Matrix>& factors,
-                                       const std::vector<int>& grid_shape,
-                                       const AllModesSparsePlan& plan,
-                                       CollectiveSchedule collectives) {
-  SimTransport transport(machine);
-  return par_mttkrp_all_modes(static_cast<Transport&>(transport), x, factors,
-                              grid_shape, plan, collectives);
-}
-
-ParAllModesResult par_mttkrp_all_modes(Machine& machine, const DenseTensor& x,
-                                       const std::vector<Matrix>& factors,
-                                       const std::vector<int>& grid_shape) {
-  return par_mttkrp_all_modes(machine, StoredTensor::dense_view(x), factors,
-                              grid_shape);
-}
-
 ParAllModesResult par_mttkrp_all_modes(const DenseTensor& x,
                                        const std::vector<Matrix>& factors,
                                        const std::vector<int>& grid_shape) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_all_modes(machine, x, factors, grid_shape);
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_all_modes(transport, StoredTensor::dense_view(x), factors,
+                              grid_shape);
 }
 
 ParAllModesResult par_mttkrp_all_modes(const StoredTensor& x,
                                        const std::vector<Matrix>& factors,
                                        const std::vector<int>& grid_shape,
                                        SparsePartitionScheme scheme) {
-  Machine machine(grid_size(grid_shape));
-  return par_mttkrp_all_modes(machine, x, factors, grid_shape,
+  SimTransport transport(grid_size(grid_shape));
+  return par_mttkrp_all_modes(transport, x, factors, grid_shape,
                               CollectiveKind::kBucket, scheme);
 }
 

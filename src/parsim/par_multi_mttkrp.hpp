@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "src/mttkrp/dispatch.hpp"
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/tensor/dense_tensor.hpp"
 #include "src/tensor/matrix.hpp"
@@ -51,11 +51,6 @@ ParAllModesResult par_mttkrp_all_modes(
     CollectiveSchedule collectives = CollectiveKind::kBucket,
     SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
-ParAllModesResult par_mttkrp_all_modes(
-    Machine& machine, const StoredTensor& x,
-    const std::vector<Matrix>& factors, const std::vector<int>& grid_shape,
-    CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock);
 
 // Reusable per-process state for repeated all-modes MTTKRPs on one sparse
 // tensor and grid (par_cp_gradient evaluates once per accepted iterate plus
@@ -80,17 +75,8 @@ ParAllModesResult par_mttkrp_all_modes(
     const AllModesSparsePlan& plan,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
-ParAllModesResult par_mttkrp_all_modes(
-    Machine& machine, const StoredTensor& x,
-    const std::vector<Matrix>& factors, const std::vector<int>& grid_shape,
-    const AllModesSparsePlan& plan,
-    CollectiveSchedule collectives = CollectiveKind::kBucket);
 
-// Dense overload and convenience wrappers building a machine of the grid's
-// size.
-ParAllModesResult par_mttkrp_all_modes(Machine& machine, const DenseTensor& x,
-                                       const std::vector<Matrix>& factors,
-                                       const std::vector<int>& grid_shape);
+// Convenience wrappers running on a fresh SimTransport of the grid's size.
 ParAllModesResult par_mttkrp_all_modes(const DenseTensor& x,
                                        const std::vector<Matrix>& factors,
                                        const std::vector<int>& grid_shape);

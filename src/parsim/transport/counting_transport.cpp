@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/parsim/collective_variants.hpp"
-
 namespace mtk {
 
 CountingTransport::CountingTransport(std::unique_ptr<Transport> inner)
@@ -12,14 +10,15 @@ CountingTransport::CountingTransport(std::unique_ptr<Transport> inner)
   // The shadow replays from zero, so the inner counters must start there too.
   inner_->reset_stats();
   // The do_* replays call the inner transport's *public* entry points; let
-  // those record the telemetry once instead of double-counting it here.
+  // those record the telemetry once instead of double-counting it here, and
+  // run the shadow's do_* directly so it records none.
   record_telemetry_ = false;
 }
 
 index_t CountingTransport::words_compared() const {
   index_t total = 0;
   for (int r = 0; r < num_ranks(); ++r) {
-    total += shadow_.stats(r).words_sent + shadow_.stats(r).words_received;
+    total += shadow().stats(r).words_sent + shadow().stats(r).words_received;
   }
   return total;
 }
@@ -27,7 +26,7 @@ index_t CountingTransport::words_compared() const {
 index_t CountingTransport::messages_compared() const {
   index_t total = 0;
   for (int r = 0; r < num_ranks(); ++r) {
-    total += shadow_.stats(r).messages_sent;
+    total += shadow().stats(r).messages_sent;
   }
   return total;
 }
@@ -36,7 +35,7 @@ void CountingTransport::check_counters(const char* what) {
   ++collectives_checked_;
   for (int r = 0; r < num_ranks(); ++r) {
     const CommStats& real = inner_->stats(r);
-    const CommStats& predicted = shadow_.stats(r);
+    const CommStats& predicted = shadow().stats(r);
     MTK_REQUIRE(real.words_sent == predicted.words_sent &&
                     real.words_received == predicted.words_received &&
                     real.messages_sent == predicted.messages_sent,
@@ -54,7 +53,8 @@ std::vector<double> CountingTransport::do_all_gather(
     CollectiveKind kind) {
   std::vector<double> real = inner_->all_gather(group, contributions, kind);
   const std::vector<double> predicted =
-      all_gather_dispatch(shadow_, group, contributions, kind);
+      static_cast<Transport&>(shadow_).do_all_gather(group, contributions,
+                                                     kind);
   MTK_REQUIRE(real.size() == predicted.size() &&
                   std::equal(real.begin(), real.end(), predicted.begin()),
               "all_gather: transport result is not bit-identical to the "
@@ -70,7 +70,8 @@ std::vector<std::vector<double>> CountingTransport::do_reduce_scatter(
   std::vector<std::vector<double>> real =
       inner_->reduce_scatter(group, inputs, chunk_sizes, kind);
   const std::vector<std::vector<double>> predicted =
-      reduce_scatter_dispatch(shadow_, group, inputs, chunk_sizes, kind);
+      static_cast<Transport&>(shadow_).do_reduce_scatter(group, inputs,
+                                                         chunk_sizes, kind);
   MTK_REQUIRE(real.size() == predicted.size(),
               "reduce_scatter: chunk count mismatch");
   for (std::size_t i = 0; i < real.size(); ++i) {

@@ -1,5 +1,5 @@
 // CountingTransport: verification wrapper that runs every collective on a
-// real inner transport AND replays it on a shadow counting Machine, then
+// real inner transport AND replays it on a shadow SimTransport, then
 // asserts (1) the data is bit-identical and (2) every rank's word and
 // message counters match the simulator's prediction exactly. This is the
 // acceptance gate for the thread backend: if ThreadTransport ever moves a
@@ -34,7 +34,7 @@ class CountingTransport final : public Transport {
 
   // The simulator's view of the traffic so far (what the inner transport's
   // counters are checked against after every collective).
-  const Machine& shadow() const { return shadow_; }
+  const Machine& shadow() const { return shadow_.machine(); }
   index_t collectives_checked() const { return collectives_checked_; }
 
   // Totals compared so far, summed over ranks — the numbers the CLI's
@@ -57,7 +57,7 @@ class CountingTransport final : public Transport {
   void check_counters(const char* what);
 
   std::unique_ptr<Transport> inner_;
-  Machine shadow_;
+  SimTransport shadow_;
   index_t collectives_checked_ = 0;
 };
 

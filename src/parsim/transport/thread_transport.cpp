@@ -1,6 +1,5 @@
 #include "src/parsim/transport/thread_transport.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -13,45 +12,16 @@ namespace mtk {
 
 namespace {
 
-// Mirrors check_group in collectives.cpp: collectives reject empty groups,
-// out-of-range ranks, and duplicate members before any thread is involved,
-// so rank threads only ever run validated schedules (a worker-side throw
-// would strand its peers in recv until the abort path wakes them).
-void check_group(int num_ranks, const std::vector<int>& group) {
-  MTK_CHECK(!group.empty(), "collective group must be non-empty");
-  for (int r : group) {
-    MTK_CHECK(r >= 0 && r < num_ranks, "group contains invalid rank ", r);
+// Group position of every machine rank, -1 for ranks outside the group.
+std::vector<int> positions(int num_ranks, const std::vector<int>& group) {
+  std::vector<int> pos_of(static_cast<std::size_t>(num_ranks), -1);
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    pos_of[static_cast<std::size_t>(group[i])] = static_cast<int>(i);
   }
-  std::vector<int> sorted = group;
-  std::sort(sorted.begin(), sorted.end());
-  MTK_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-            "collective group contains duplicate ranks");
+  return pos_of;
 }
 
 }  // namespace
-
-// Shared read-only context of one All-Gather: every member knows all
-// contribution sizes (as an MPI rank knows its recv counts) but reads data
-// only from its own contribution and its mailbox.
-struct ThreadTransport::GatherCtx {
-  const std::vector<int>* group = nullptr;
-  const std::vector<std::vector<double>>* contributions = nullptr;
-  std::vector<index_t> sizes;    // per-position contribution length
-  std::vector<index_t> offsets;  // position of each chunk in the concat
-  index_t total = 0;
-  // Per-position assembled result; slot i is written only by member i's
-  // thread.
-  std::vector<std::vector<double>>* results = nullptr;
-};
-
-struct ThreadTransport::ReduceCtx {
-  const std::vector<int>* group = nullptr;
-  const std::vector<std::vector<double>>* inputs = nullptr;
-  std::vector<index_t> chunk_sizes;
-  std::vector<index_t> offsets;
-  index_t total = 0;
-  std::vector<std::vector<double>>* results = nullptr;
-};
 
 ThreadTransport::ThreadTransport(int num_ranks) {
   MTK_CHECK(num_ranks >= 1, "ThreadTransport needs at least one rank");
@@ -293,220 +263,48 @@ std::vector<double> ThreadTransport::recv(int to, int from) {
 }
 
 // ---------------------------------------------------------------------------
-// SPMD collective bodies. Each replicates the per-member schedule of the
-// centralized counting implementation exactly — same neighbors, same chunk
-// arithmetic, same accumulation order — so data and counters both match.
+// Orchestrator entry points: each member runs its own steps on its thread.
 
-void ThreadTransport::run_all_gather_bucket(const GatherCtx& ctx, int pos) {
-  Span span(SpanCategory::kCollective, "member all-gather/bucket");
-  const std::vector<int>& group = *ctx.group;
-  const int q = static_cast<int>(group.size());
-  if (span.enabled()) {
-    span.arg("group", q);
-    span.arg("words", ctx.total);
-  }
+template <class Member>
+void ThreadTransport::run_steps(const Collective& c,
+                                const std::vector<int>& group, int pos,
+                                Member& member) {
   const int self = group[static_cast<std::size_t>(pos)];
-  std::vector<double> result(static_cast<std::size_t>(ctx.total));
-  const std::vector<double>& own =
-      (*ctx.contributions)[static_cast<std::size_t>(pos)];
-  std::copy(own.begin(), own.end(),
-            result.begin() + ctx.offsets[static_cast<std::size_t>(pos)]);
-
-  // Ring: at step s, send chunk (pos - s) mod q right and receive chunk
-  // (pos - 1 - s) mod q from the left (collectives.cpp's schedule).
-  const int right = group[static_cast<std::size_t>((pos + 1) % q)];
-  const int left = group[static_cast<std::size_t>((pos - 1 + q) % q)];
-  for (int s = 0; s + 1 < q; ++s) {
-    const int cs = ((pos - s) % q + q) % q;
-    std::vector<double> payload(
-        result.begin() + ctx.offsets[static_cast<std::size_t>(cs)],
-        result.begin() + ctx.offsets[static_cast<std::size_t>(cs)] +
-            ctx.sizes[static_cast<std::size_t>(cs)]);
-    send(self, right, std::move(payload));
-    std::vector<double> incoming = recv(self, left);
-    const int cr = ((pos - 1 - s) % q + q) % q;
-    MTK_ASSERT(static_cast<index_t>(incoming.size()) ==
-                   ctx.sizes[static_cast<std::size_t>(cr)],
-               "bucket all-gather chunk size mismatch");
-    std::copy(incoming.begin(), incoming.end(),
-              result.begin() + ctx.offsets[static_cast<std::size_t>(cr)]);
+  for (int round = 0; round < c.rounds(); ++round) {
+    const CollectiveStep s = c.step(pos, round);
+    send(self, group[static_cast<std::size_t>(s.send_to)],
+         member.take(s.send));
+    member.absorb(s.recv,
+                  recv(self, group[static_cast<std::size_t>(s.recv_from)]));
   }
-  (*ctx.results)[static_cast<std::size_t>(pos)] = std::move(result);
 }
-
-void ThreadTransport::run_all_gather_doubling(const GatherCtx& ctx, int pos) {
-  Span span(SpanCategory::kCollective, "member all-gather/recursive");
-  const std::vector<int>& group = *ctx.group;
-  const int q = static_cast<int>(group.size());
-  if (span.enabled()) {
-    span.arg("group", q);
-    span.arg("words", ctx.total);
-  }
-  const int self = group[static_cast<std::size_t>(pos)];
-  std::vector<double> result(static_cast<std::size_t>(ctx.total));
-  const std::vector<double>& own =
-      (*ctx.contributions)[static_cast<std::size_t>(pos)];
-  std::copy(own.begin(), own.end(),
-            result.begin() + ctx.offsets[static_cast<std::size_t>(pos)]);
-
-  // Every member tracks all members' held chunk sets with the same
-  // deterministic evolution the counting implementation uses; only its own
-  // payloads actually move.
-  std::vector<std::vector<int>> held(static_cast<std::size_t>(q));
-  for (int i = 0; i < q; ++i) held[static_cast<std::size_t>(i)] = {i};
-
-  for (int dist = 1; dist < q; dist *= 2) {
-    const int partner = pos ^ dist;
-    std::vector<double> payload;
-    for (int c : held[static_cast<std::size_t>(pos)]) {
-      payload.insert(payload.end(),
-                     result.begin() + ctx.offsets[static_cast<std::size_t>(c)],
-                     result.begin() + ctx.offsets[static_cast<std::size_t>(c)] +
-                         ctx.sizes[static_cast<std::size_t>(c)]);
-    }
-    send(self, group[static_cast<std::size_t>(partner)], std::move(payload));
-    const std::vector<double> incoming =
-        recv(self, group[static_cast<std::size_t>(partner)]);
-    std::size_t at = 0;
-    for (int c : held[static_cast<std::size_t>(partner)]) {
-      const std::size_t len =
-          static_cast<std::size_t>(ctx.sizes[static_cast<std::size_t>(c)]);
-      MTK_ASSERT(at + len <= incoming.size(),
-                 "doubling all-gather payload too short");
-      std::copy(incoming.begin() + static_cast<std::ptrdiff_t>(at),
-                incoming.begin() + static_cast<std::ptrdiff_t>(at + len),
-                result.begin() + ctx.offsets[static_cast<std::size_t>(c)]);
-      at += len;
-    }
-    std::vector<std::vector<int>> next = held;
-    for (int j = 0; j < q; ++j) {
-      next[static_cast<std::size_t>(j ^ dist)].insert(
-          next[static_cast<std::size_t>(j ^ dist)].end(),
-          held[static_cast<std::size_t>(j)].begin(),
-          held[static_cast<std::size_t>(j)].end());
-    }
-    held = std::move(next);
-  }
-  (*ctx.results)[static_cast<std::size_t>(pos)] = std::move(result);
-}
-
-void ThreadTransport::run_reduce_scatter_bucket(const ReduceCtx& ctx,
-                                                int pos) {
-  Span span(SpanCategory::kCollective, "member reduce-scatter/bucket");
-  const std::vector<int>& group = *ctx.group;
-  const int q = static_cast<int>(group.size());
-  if (span.enabled()) {
-    span.arg("group", q);
-    span.arg("words", ctx.total);
-  }
-  const int self = group[static_cast<std::size_t>(pos)];
-  const std::vector<double>& own =
-      (*ctx.inputs)[static_cast<std::size_t>(pos)];
-
-  // Traveling partials: start with the own copy of chunk (pos-1) mod q;
-  // each step the received partial accumulates this member's contribution
-  // to the chunk it carries — identical order to reduce_scatter_bucket.
-  const int c0 = ((pos - 1) % q + q) % q;
-  std::vector<double> traveling(
-      own.begin() + ctx.offsets[static_cast<std::size_t>(c0)],
-      own.begin() + ctx.offsets[static_cast<std::size_t>(c0)] +
-          ctx.chunk_sizes[static_cast<std::size_t>(c0)]);
-  const int right = group[static_cast<std::size_t>((pos + 1) % q)];
-  const int left = group[static_cast<std::size_t>((pos - 1 + q) % q)];
-  for (int s = 0; s + 1 < q; ++s) {
-    send(self, right, std::move(traveling));
-    std::vector<double> partial = recv(self, left);
-    const int c = ((pos - 2 - s) % q + q) % q;
-    MTK_ASSERT(static_cast<index_t>(partial.size()) ==
-                   ctx.chunk_sizes[static_cast<std::size_t>(c)],
-               "bucket reduce-scatter chunk size mismatch");
-    const double* mine = own.data() + ctx.offsets[static_cast<std::size_t>(c)];
-    for (std::size_t w = 0; w < partial.size(); ++w) {
-      partial[w] += mine[w];
-    }
-    traveling = std::move(partial);
-  }
-  (*ctx.results)[static_cast<std::size_t>(pos)] = std::move(traveling);
-}
-
-void ThreadTransport::run_reduce_scatter_halving(const ReduceCtx& ctx,
-                                                 int pos) {
-  Span span(SpanCategory::kCollective, "member reduce-scatter/recursive");
-  const std::vector<int>& group = *ctx.group;
-  const int q = static_cast<int>(group.size());
-  if (span.enabled()) {
-    span.arg("group", q);
-    span.arg("words", ctx.total);
-  }
-  const int self = group[static_cast<std::size_t>(pos)];
-  const index_t chunk = ctx.total / q;
-
-  std::vector<double> cur = (*ctx.inputs)[static_cast<std::size_t>(pos)];
-  int lo = 0;
-  for (int half = q / 2; half >= 1; half /= 2) {
-    const int partner = pos ^ half;
-    const bool keep_upper = (pos & half) != 0;
-    const int send_lo = lo + (keep_upper ? 0 : half);
-    const index_t off = static_cast<index_t>(send_lo - lo) * chunk;
-    std::vector<double> payload(cur.begin() + off,
-                                cur.begin() + off + half * chunk);
-    send(self, group[static_cast<std::size_t>(partner)], std::move(payload));
-    const std::vector<double> incoming =
-        recv(self, group[static_cast<std::size_t>(partner)]);
-    const int new_lo = lo + (keep_upper ? half : 0);
-    const index_t koff = static_cast<index_t>(new_lo - lo) * chunk;
-    std::vector<double> kept(cur.begin() + koff,
-                             cur.begin() + koff + half * chunk);
-    MTK_ASSERT(incoming.size() == kept.size(),
-               "recursive halving window mismatch");
-    for (std::size_t w = 0; w < kept.size(); ++w) kept[w] += incoming[w];
-    cur = std::move(kept);
-    lo = new_lo;
-  }
-  MTK_ASSERT(lo == pos, "member ended with the wrong chunk");
-  (*ctx.results)[static_cast<std::size_t>(pos)] = std::move(cur);
-}
-
-// ---------------------------------------------------------------------------
-// Orchestrator entry points.
 
 std::vector<double> ThreadTransport::do_all_gather(
     const std::vector<int>& group,
     const std::vector<std::vector<double>>& contributions,
     CollectiveKind kind) {
-  check_group(num_ranks(), group);
-  const int q = static_cast<int>(group.size());
-  MTK_CHECK(static_cast<int>(contributions.size()) == q,
-            "all_gather: expected ", q, " contributions, got ",
-            contributions.size());
-  GatherCtx ctx;
-  ctx.group = &group;
-  ctx.contributions = &contributions;
-  ctx.sizes.resize(static_cast<std::size_t>(q));
-  ctx.offsets.resize(static_cast<std::size_t>(q));
-  for (int i = 0; i < q; ++i) {
-    ctx.sizes[static_cast<std::size_t>(i)] = static_cast<index_t>(
-        contributions[static_cast<std::size_t>(i)].size());
-    ctx.offsets[static_cast<std::size_t>(i)] = ctx.total;
-    ctx.total += ctx.sizes[static_cast<std::size_t>(i)];
-  }
-  std::vector<std::vector<double>> results(static_cast<std::size_t>(q));
-  ctx.results = &results;
-
-  std::vector<int> pos_of(static_cast<std::size_t>(num_ranks()), -1);
-  for (int i = 0; i < q; ++i) pos_of[static_cast<std::size_t>(group[i])] = i;
-  const bool doubling =
-      kind == CollectiveKind::kRecursive && recursive_all_gather_applies(q);
+  const std::vector<index_t> sizes = buffer_sizes(contributions);
+  const Collective c =
+      Collective::resolve(CollectiveOp::kAllGather, kind, sizes);
+  const std::vector<index_t> offsets = chunk_offsets(sizes);
+  const std::vector<int> pos_of = positions(num_ranks(), group);
+  std::vector<std::vector<double>> results(group.size());
   arm_collective(/*with_deadline=*/true);
   dispatch([&](int rank) {
     apply_stall(rank);
     const int pos = pos_of[static_cast<std::size_t>(rank)];
     if (pos < 0) return;
-    if (doubling) {
-      run_all_gather_doubling(ctx, pos);
-    } else {
-      run_all_gather_bucket(ctx, pos);
+    Span span(SpanCategory::kCollective, c.recursive
+                                             ? "member all-gather/recursive"
+                                             : "member all-gather/bucket");
+    if (span.enabled()) {
+      span.arg("group", c.q);
+      span.arg("words", offsets.back());
     }
+    AllGatherMember member(contributions[static_cast<std::size_t>(pos)],
+                           offsets, pos);
+    run_steps(c, group, pos, member);
+    results[static_cast<std::size_t>(pos)] = member.finish();
   });
   // Every member assembled identical bits; hand back position 0's copy.
   return std::move(results[0]);
@@ -516,48 +314,27 @@ std::vector<std::vector<double>> ThreadTransport::do_reduce_scatter(
     const std::vector<int>& group,
     const std::vector<std::vector<double>>& inputs,
     const std::vector<index_t>& chunk_sizes, CollectiveKind kind) {
-  check_group(num_ranks(), group);
-  const int q = static_cast<int>(group.size());
-  MTK_CHECK(static_cast<int>(inputs.size()) == q, "reduce_scatter: expected ",
-            q, " inputs, got ", inputs.size());
-  MTK_CHECK(static_cast<int>(chunk_sizes.size()) == q,
-            "reduce_scatter: expected ", q, " chunk sizes, got ",
-            chunk_sizes.size());
-  ReduceCtx ctx;
-  ctx.group = &group;
-  ctx.inputs = &inputs;
-  ctx.chunk_sizes = chunk_sizes;
-  ctx.offsets.resize(static_cast<std::size_t>(q));
-  for (int j = 0; j < q; ++j) {
-    MTK_CHECK(chunk_sizes[static_cast<std::size_t>(j)] >= 0,
-              "negative chunk size");
-    ctx.offsets[static_cast<std::size_t>(j)] = ctx.total;
-    ctx.total += chunk_sizes[static_cast<std::size_t>(j)];
-  }
-  for (int i = 0; i < q; ++i) {
-    MTK_CHECK(static_cast<index_t>(inputs[static_cast<std::size_t>(i)].size()) ==
-                  ctx.total,
-              "reduce_scatter: input ", i, " has ",
-              inputs[static_cast<std::size_t>(i)].size(),
-              " words, expected ", ctx.total);
-  }
-  std::vector<std::vector<double>> results(static_cast<std::size_t>(q));
-  ctx.results = &results;
-
-  std::vector<int> pos_of(static_cast<std::size_t>(num_ranks()), -1);
-  for (int i = 0; i < q; ++i) pos_of[static_cast<std::size_t>(group[i])] = i;
-  const bool halving = kind == CollectiveKind::kRecursive &&
-                       recursive_reduce_scatter_applies(q, chunk_sizes);
+  const Collective c =
+      Collective::resolve(CollectiveOp::kReduceScatter, kind, chunk_sizes);
+  const std::vector<index_t> offsets = chunk_offsets(chunk_sizes);
+  const std::vector<int> pos_of = positions(num_ranks(), group);
+  std::vector<std::vector<double>> results(group.size());
   arm_collective(/*with_deadline=*/true);
   dispatch([&](int rank) {
     apply_stall(rank);
     const int pos = pos_of[static_cast<std::size_t>(rank)];
     if (pos < 0) return;
-    if (halving) {
-      run_reduce_scatter_halving(ctx, pos);
-    } else {
-      run_reduce_scatter_bucket(ctx, pos);
+    Span span(SpanCategory::kCollective,
+              c.recursive ? "member reduce-scatter/recursive"
+                          : "member reduce-scatter/bucket");
+    if (span.enabled()) {
+      span.arg("group", c.q);
+      span.arg("words", offsets.back());
     }
+    ReduceScatterMember member(inputs[static_cast<std::size_t>(pos)],
+                               offsets);
+    run_steps(c, group, pos, member);
+    results[static_cast<std::size_t>(pos)] = member.finish(pos);
   });
   return results;
 }

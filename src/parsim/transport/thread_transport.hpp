@@ -2,24 +2,13 @@
 // std::thread per rank, communicating through per-receiver mailboxes
 // (mutex + condvar, one FIFO queue per sender). No MPI exists in this
 // environment, so P threads in one process stand in for the paper's P
-// processors; every collective is executed SPMD, with each rank thread
-// running exactly the per-member schedule the counting simulator charges:
-//
-//   bucket All-Gather      — ring: at step s member i sends chunk
-//                            (i - s) mod q to member (i+1) mod q.
-//   bucket Reduce-Scatter  — traveling partials: member i starts with its
-//                            copy of chunk (i-1) mod q; each step the
-//                            received partial accumulates the receiver's
-//                            own contribution (partial[w] += own[w]).
-//   recursive doubling     — pairs (i, i ^ 2^t) swap their held chunk sets.
-//   recursive halving      — pairs (i, i ^ q/2^(t+1)) exchange half of the
-//                            active window; kept[w] += incoming[w].
-//
-// Because the reduction order per output element is identical to the
-// centralized implementations in collectives.cpp / collective_variants.cpp,
-// the results are bit-identical to SimTransport's, and because each rank
-// thread performs exactly the sends the simulator records, the per-rank
-// word and message counters match exactly (CountingTransport asserts this).
+// processors; every collective is executed SPMD, each rank thread running
+// its own steps of the schedule in src/parsim/schedule.hpp through send and
+// recv. Because SimTransport interprets the same steps with the same
+// AllGatherMember / ReduceScatterMember arithmetic, the results are
+// bit-identical to SimTransport's, and because each rank thread performs
+// exactly the sends the simulator records, the per-rank word and message
+// counters match exactly (CountingTransport asserts this).
 //
 // Thread-sanitizer discipline: stats_[r] is written only by rank r's thread
 // while a job is running; the orchestrator reads counters only between
@@ -121,13 +110,11 @@ class ThreadTransport final : public Transport {
   void send(int from, int to, std::vector<double> payload);
   std::vector<double> recv(int to, int from);
 
-  // SPMD per-member collective bodies (run on the member's thread).
-  struct GatherCtx;
-  struct ReduceCtx;
-  void run_all_gather_bucket(const GatherCtx& ctx, int pos);
-  void run_all_gather_doubling(const GatherCtx& ctx, int pos);
-  void run_reduce_scatter_bucket(const ReduceCtx& ctx, int pos);
-  void run_reduce_scatter_halving(const ReduceCtx& ctx, int pos);
+  // Runs member `pos`'s steps of `c` on its rank thread: each round sends
+  // the step's payload, then receives the peer's and applies it.
+  template <class Member>
+  void run_steps(const Collective& c, const std::vector<int>& group, int pos,
+                 Member& member);
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<PaddedStats> stats_;

@@ -4,16 +4,16 @@
 // runs either on the counting Machine simulator (SimTransport — exact
 // per-rank word/message counters, centralized data movement) or on real
 // std::thread ranks exchanging mutex/condvar mailbox messages
-// (ThreadTransport, src/parsim/transport/thread_transport.hpp). The two
-// produce bit-identical collective outputs and identical counters; the
-// CountingTransport wrapper (counting_transport.hpp) asserts both.
+// (ThreadTransport, src/parsim/transport/thread_transport.hpp). Both are
+// interpreters of the one per-member schedule in src/parsim/schedule.hpp,
+// so they produce bit-identical collective outputs and identical counters;
+// the CountingTransport wrapper (counting_transport.hpp) asserts both.
 //
-// The API is orchestrator-level, mirroring the dispatch functions of
-// collective_variants.hpp: the caller holds every rank's buffers in one
-// address space and the transport decides how the exchange is realized.
-// Wall-clock spent inside collectives (comm_seconds) and inside run_ranks
-// bodies (compute_seconds) is accumulated so the drivers can report
-// measured time next to the simulated counters.
+// The API is orchestrator-level: the caller holds every rank's buffers in
+// one address space and the transport decides how the exchange is
+// realized. Wall-clock spent inside collectives (comm_seconds) and inside
+// run_ranks bodies (compute_seconds) is accumulated so the drivers can
+// report measured time next to the simulated counters.
 #pragma once
 
 #include <functional>
@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/machine.hpp"
+#include "src/parsim/schedule.hpp"
 
 namespace mtk {
 
@@ -69,13 +69,14 @@ class Transport {
   virtual TransportKind kind() const = 0;
   virtual int num_ranks() const = 0;
 
-  // Collectives over an ordered group of machine ranks, with the same
-  // contracts as the *_dispatch functions (collective_variants.hpp):
+  // Collectives over an ordered group of distinct machine ranks, run by the
+  // schedule Collective::resolve picks for `kind` (schedule.hpp):
   // all_gather concatenates contributions in group order; reduce_scatter
-  // returns the reduced chunk per group position; all_reduce is
-  // Reduce-Scatter over balanced flat chunks followed by All-Gather, each
-  // stage consulting the recursive fallback rules independently. These
-  // public entry points time the exchange into comm_seconds().
+  // returns the reduced chunk per group position (chunk_sizes[i] words of
+  // the elementwise sum for position i); all_reduce is Reduce-Scatter over
+  // flat_chunk_sizes followed by All-Gather, each stage resolving its own
+  // schedule. These public entry points validate the arguments and time the
+  // exchange into comm_seconds().
   std::vector<double> all_gather(
       const std::vector<int>& group,
       const std::vector<std::vector<double>>& contributions,
@@ -135,6 +136,9 @@ class Transport {
   double comm_seconds_ = 0.0;
   double compute_seconds_ = 0.0;
   double deadline_seconds_ = 0.0;
+  // The wrappers replay collectives on another transport's do_* methods.
+  friend class CountingTransport;
+
   // Whether the public entry points emit spans and registry counters.
   // CountingTransport turns this off on itself: its do_* methods replay
   // every collective through the inner transport's *public* entry points,
@@ -142,11 +146,12 @@ class Transport {
   bool record_telemetry_ = true;
 };
 
-// The counting-Machine backend: collectives delegate to the centralized
-// dispatch implementations, which move the data once in the orchestrator
-// and record the schedule's exact per-rank traffic. Borrows the caller's
-// Machine (so counters accumulate where existing code reads them) or owns
-// a fresh one.
+// The counting-Machine backend: runs every member's steps round by round in
+// the orchestrator and charges each send to the Machine. All-Gather members
+// all end with the same concatenation, so it is built once and only the
+// steps are counted; Reduce-Scatter partials are moved between members and
+// accumulated in place (ReduceScatterMember). Borrows the caller's Machine
+// or owns a fresh one.
 class SimTransport final : public Transport {
  public:
   explicit SimTransport(Machine& machine);
@@ -167,6 +172,7 @@ class SimTransport final : public Transport {
   }
 
   Machine& machine() { return *machine_; }
+  const Machine& machine() const { return *machine_; }
 
  protected:
   std::vector<double> do_all_gather(

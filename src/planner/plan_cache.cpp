@@ -96,8 +96,7 @@ std::uint64_t plan_cache_key(const StoredTensor& x, index_t rank,
   h.mix(opts.machine.csf_tiled_seconds_per_flop);
   h.mix(static_cast<std::uint64_t>(opts.reuse_count));
   // Sketch knobs enter the fingerprint only when set: exact-execution
-  // queries (epsilon = 0) keep the pre-sketch hash, so entries migrated
-  // from a version-2 file — written before these knobs existed — still hit.
+  // queries (epsilon = 0) keep the hash they had before the knobs existed.
   if (opts.epsilon != 0.0 || opts.sample_count != 0) {
     h.mix(opts.epsilon);
     h.mix(static_cast<std::uint64_t>(opts.sample_count));
@@ -278,10 +277,7 @@ struct TokenParser {
 }  // namespace
 
 bool PlanCache::save(const std::string& path,
-                     const Calibration* calibration, int version) const {
-  MTK_CHECK(version == kFileVersion || version == kLegacyFileVersion,
-            "unsupported plan-cache file version ", version);
-  const bool v3 = version >= 3;
+                     const Calibration* calibration) const {
   std::lock_guard<std::mutex> lock(mutex_);
 
   // Crash safety: the whole file is composed in memory, sealed with a
@@ -290,7 +286,7 @@ bool PlanCache::save(const std::string& path,
   // file, and published with an atomic rename. A crash mid-save leaves the
   // previous file intact; a torn temp file is never visible under `path`.
   std::ostringstream out;
-  out << "mtkplancache " << version << "\n";
+  out << "mtkplancache " << kFileVersion << "\n";
   if (calibration != nullptr) {
     write_calibration(out, *calibration);
   }
@@ -332,10 +328,8 @@ bool PlanCache::save(const std::string& path,
     put(body, k.machine.csf_privatized_seconds_per_flop);
     put(body, k.machine.csf_tiled_seconds_per_flop);
     put(body, k.reuse_count);
-    if (v3) {
-      put(body, k.epsilon);
-      put(body, k.sample_count);
-    }
+    put(body, k.epsilon);
+    put(body, k.sample_count);
     body << "\n";
 
     const PlanReport& r = *entry.report;
@@ -381,11 +375,9 @@ bool PlanCache::save(const std::string& path,
       put(body, plan.nnz_stats.max_nnz);
       put(body, plan.nnz_stats.min_nnz);
       put(body, plan.nnz_stats.mean_nnz);
-      if (v3) {
-        put(body, static_cast<int>(plan.path));
-        put(body, plan.sample_count);
-        put(body, plan.predicted_error);
-      }
+      put(body, static_cast<int>(plan.path));
+      put(body, plan.sample_count);
+      put(body, plan.predicted_error);
       body << "\n";
     }
 
@@ -444,17 +436,12 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
     return true;
   };
 
-  bool v3 = true;
   if (!read_raw(line)) return false;
   {
     TokenParser p(line);
     if (p.word() != "mtkplancache") return false;
     const long long version = p.ll();
-    if (!p.done() ||
-        (version != kFileVersion && version != kLegacyFileVersion)) {
-      return false;
-    }
-    v3 = version >= 3;
+    if (!p.done() || version != kFileVersion) return false;
   }
 
   std::unordered_map<std::uint64_t, Entry> loaded;
@@ -532,10 +519,8 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
     k.machine.csf_privatized_seconds_per_flop = kp.dbl();
     k.machine.csf_tiled_seconds_per_flop = kp.dbl();
     k.reuse_count = kp.i32();
-    if (v3) {
-      k.epsilon = kp.dbl();
-      k.sample_count = kp.idx();
-    }  // v2: both stay at their exact-execution defaults (0)
+    k.epsilon = kp.dbl();
+    k.sample_count = kp.idx();
     if (!kp.done()) return false;
 
     // --- report line ------------------------------------------------------
@@ -602,15 +587,13 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
       plan.nnz_stats.max_nnz = pp.idx();
       plan.nnz_stats.min_nnz = pp.idx();
       plan.nnz_stats.mean_nnz = pp.dbl();
-      if (v3) {
-        plan.path = pp.enum_of<ExecutionPath>(1);
-        plan.sample_count = pp.idx();
-        plan.predicted_error = pp.dbl();
-        if (plan.sample_count < 0 ||
-            (plan.path == ExecutionPath::kExact && plan.sample_count != 0)) {
-          return false;
-        }
-      }  // v2: exact path, no sample — the only path that version knew
+      plan.path = pp.enum_of<ExecutionPath>(1);
+      plan.sample_count = pp.idx();
+      plan.predicted_error = pp.dbl();
+      if (plan.sample_count < 0 ||
+          (plan.path == ExecutionPath::kExact && plan.sample_count != 0)) {
+        return false;
+      }
       if (!pp.done()) return false;
       report->ranked.push_back(std::move(plan));
     }
@@ -632,21 +615,19 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
   }
   if (!saw_end) return false;  // truncated
 
-  // Optional whole-file checksum trailer (written by save() since the
-  // atomic-rename change). Files from older writers end at "end" and load
-  // fine; when the trailer is present it must match — it is the only check
-  // that covers the header and calibration line.
-  if (std::getline(in, line)) {
+  // The whole-file checksum trailer must follow and match — it is the only
+  // check that covers the header and calibration line.
+  if (!std::getline(in, line)) return false;
+  {
     TokenParser tp(line);
-    if (tp.word() == "filesum") {
-      const std::string sum_word = tp.word();
-      char* sum_end = nullptr;
-      const std::uint64_t stored =
-          std::strtoull(sum_word.c_str(), &sum_end, 10);
-      if (!tp.done() || sum_end == nullptr || *sum_end != '\0' ||
-          sum_word.empty() || stored != file_sum.state) {
-        return false;
-      }
+    if (tp.word() != "filesum") return false;
+    const std::string sum_word = tp.word();
+    char* sum_end = nullptr;
+    const std::uint64_t stored =
+        std::strtoull(sum_word.c_str(), &sum_end, 10);
+    if (!tp.done() || sum_end == nullptr || *sum_end != '\0' ||
+        sum_word.empty() || stored != file_sum.state) {
+      return false;
     }
   }
 

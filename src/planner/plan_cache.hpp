@@ -34,12 +34,8 @@ namespace mtk {
 class PlanCache {
  public:
   // Bump when the on-disk layout or any serialized enum changes. The
-  // reader accepts the current version and (as the one supported
-  // migration) version 2 — the pre-sketch layout, whose entries load with
-  // the sampled-path fields at their exact-execution defaults; anything
-  // else degrades to a cold cache.
+  // reader accepts this version only; any other degrades to a cold cache.
   static constexpr int kFileVersion = 3;
-  static constexpr int kLegacyFileVersion = 2;
   // Returns the cached report for this (tensor, rank, options) key, planning
   // on a miss. The CSF path expands to COO once per *miss* only.
   std::shared_ptr<const PlanReport> get_or_plan(const StoredTensor& x,
@@ -51,19 +47,16 @@ class PlanCache {
   std::size_t misses() const;
   void clear();
 
-  // Writes every entry (and, when non-null, `calibration`) to `path`.
-  // Returns false if the file cannot be written. `version` selects the
-  // on-disk layout: kFileVersion (default) or kLegacyFileVersion, the
-  // latter for producing v2 files (migration tests, downgrade escapes) —
-  // legacy files drop the sampled-path fields, so only entries planned
-  // with epsilon = 0 round-trip losslessly through v2.
+  // Writes every entry (and, when non-null, `calibration`) to `path`,
+  // sealed with a whole-file checksum trailer. Returns false if the file
+  // cannot be written.
   bool save(const std::string& path,
-            const Calibration* calibration = nullptr,
-            int version = kFileVersion) const;
+            const Calibration* calibration = nullptr) const;
 
   // Restores entries saved by save(), replacing the current contents (hit/
-  // miss counters reset). On a missing, version-mismatched, truncated, or
-  // corrupt file the cache is left cold (cleared) and load returns false;
+  // miss counters reset). On a missing, version-mismatched, truncated,
+  // unsealed (no valid "filesum" trailer) or corrupt file the cache is left
+  // cold (cleared) and load returns false;
   // `calibration`, when non-null, receives the stored calibration only on
   // a fully successful parse.
   bool load(const std::string& path, Calibration* calibration = nullptr);

@@ -70,64 +70,19 @@ struct RankAccum {
   }
 };
 
-index_t chunk_len(index_t total, int q, int i) {
-  return flat_chunk(total, q, i).length();
-}
-
 // Words moved (sent + received) and messages sent by one group position in
-// one collective, mirroring the dispatcher's algorithm choice exactly.
+// one collective on balanced flat chunks, under the schedule the transports
+// run (schedule.hpp decides the algorithm and its fallback).
 struct Moved {
   double words = 0.0;
   double msgs = 0.0;
 };
 
-// Recursive-doubling All-Gather: at round dist, position i sends its whole
-// subcube {i ^ m : m < dist} and receives the partner's. Summing the flat
-// chunk sizes over those subcubes replays all_gather_doubling's counters.
-double doubling_moved(index_t w, int q, int pos) {
-  double moved = 0.0;
-  for (int dist = 1; dist < q; dist *= 2) {
-    const int own_lo = pos & ~(dist - 1);
-    const int partner_lo = (pos ^ dist) & ~(dist - 1);
-    for (int m = 0; m < dist; ++m) {
-      moved += static_cast<double>(chunk_len(w, q, own_lo + m)) +
-               static_cast<double>(chunk_len(w, q, partner_lo + m));
-    }
-  }
-  return moved;
-}
-
-// Ring bucket All-Gather of W words over q members: position i sends every
-// chunk except c_{(i+1) mod q} and receives every chunk except c_i.
-Moved ag_replay(index_t w, int q, int pos, CollectiveKind kind) {
-  if (q <= 1) return {};
-  if (kind == CollectiveKind::kRecursive &&
-      recursive_all_gather_applies(q)) {
-    return {doubling_moved(w, q, pos),
-            static_cast<double>(collective_rounds(q, true))};
-  }
-  return {2.0 * static_cast<double>(w) -
-              static_cast<double>(chunk_len(w, q, pos)) -
-              static_cast<double>(chunk_len(w, q, (pos + 1) % q)),
-          static_cast<double>(q - 1)};
-}
-
-// Ring bucket Reduce-Scatter: position i sends every chunk except c_i and
-// receives every chunk except c_{(i-1) mod q}. The recursive-halving
-// fallback rule (uniform flat chunks <=> w divisible by q) matches
-// reduce_scatter_dispatch; halving moves the same 2W(q-1)/q words.
-Moved rs_replay(index_t w, int q, int pos, CollectiveKind kind) {
-  if (q <= 1) return {};
-  if (kind == CollectiveKind::kRecursive &&
-      is_pow2(static_cast<index_t>(q)) && w % q == 0) {
-    return {2.0 * static_cast<double>(w) * static_cast<double>(q - 1) /
-                static_cast<double>(q),
-            static_cast<double>(collective_rounds(q, true))};
-  }
-  return {2.0 * static_cast<double>(w) -
-              static_cast<double>(chunk_len(w, q, pos)) -
-              static_cast<double>(chunk_len(w, q, (pos - 1 + q) % q)),
-          static_cast<double>(q - 1)};
+Moved member_moved(CollectiveOp op, index_t w, int q, int pos,
+                   CollectiveKind kind) {
+  const MemberTraffic t = flat_member_traffic(op, kind, w, q, pos);
+  return {static_cast<double>(t.words_sent + t.words_received),
+          static_cast<double>(t.messages)};
 }
 
 // Position of a rank within group_fixing(fixed, rank): column-major
@@ -200,12 +155,14 @@ void accumulate_stationary(RankAccum& acc, const ProcessorGrid& grid,
                    .length(),
           rank_r);
       if (all_modes || k != mode) {
-        const Moved m = ag_replay(w, q, pos, sched.factor);
+        const Moved m =
+            member_moved(CollectiveOp::kAllGather, w, q, pos, sched.factor);
         acc.factor[static_cast<std::size_t>(r)] += m.words;
         acc.factor_m[static_cast<std::size_t>(r)] += m.msgs;
       }
       if (all_modes || k == mode) {
-        const Moved m = rs_replay(w, q, pos, sched.output);
+        const Moved m = member_moved(CollectiveOp::kReduceScatter, w, q,
+                                     pos, sched.output);
         acc.output[static_cast<std::size_t>(r)] += m.words;
         acc.output_m[static_cast<std::size_t>(r)] += m.msgs;
       }
@@ -235,7 +192,8 @@ void accumulate_general(RankAccum& acc, const ProcessorGrid& grid,
     // Phase 0: tensor All-Gather across the P0-fiber (varying dim 0 only,
     // so the group position is the rank's own c0 coordinate).
     {
-      const Moved m = ag_replay(
+      const Moved m = member_moved(
+          CollectiveOp::kAllGather,
           fiber_words[static_cast<std::size_t>(fiber)], p0, c0, sched.tensor);
       acc.tensor[static_cast<std::size_t>(r)] += m.words;
       acc.tensor_m[static_cast<std::size_t>(r)] += m.msgs;
@@ -254,11 +212,13 @@ void accumulate_general(RankAccum& acc, const ProcessorGrid& grid,
                    .length(),
           rank_parts[static_cast<std::size_t>(c0)].length());
       if (k != mode) {
-        const Moved m = ag_replay(w, q, pos, sched.factor);
+        const Moved m =
+            member_moved(CollectiveOp::kAllGather, w, q, pos, sched.factor);
         acc.factor[static_cast<std::size_t>(r)] += m.words;
         acc.factor_m[static_cast<std::size_t>(r)] += m.msgs;
       } else {
-        const Moved m = rs_replay(w, q, pos, sched.output);
+        const Moved m = member_moved(CollectiveOp::kReduceScatter, w, q,
+                                     pos, sched.output);
         acc.output[static_cast<std::size_t>(r)] += m.words;
         acc.output_m[static_cast<std::size_t>(r)] += m.msgs;
       }
@@ -266,14 +226,16 @@ void accumulate_general(RankAccum& acc, const ProcessorGrid& grid,
   }
 }
 
-// Machine-wide Gram All-Reduce of R^2 words (distributed_gram's dispatched
-// Reduce-Scatter + All-Gather over all P ranks in rank order; both stages
-// consult the fallback rules independently, as all_reduce_dispatch does).
+// Machine-wide Gram All-Reduce of R^2 words (distributed_gram's
+// Reduce-Scatter + All-Gather over all P ranks in rank order; each stage
+// resolves its own schedule, as Transport::all_reduce does).
 void accumulate_gram(RankAccum& acc, int p, index_t r_squared,
                      const CollectiveSchedule& sched) {
   for (int r = 0; r < p; ++r) {
-    const Moved rs = rs_replay(r_squared, p, r, sched.gram);
-    const Moved ag = ag_replay(r_squared, p, r, sched.gram);
+    const Moved rs = member_moved(CollectiveOp::kReduceScatter, r_squared, p,
+                                  r, sched.gram);
+    const Moved ag =
+        member_moved(CollectiveOp::kAllGather, r_squared, p, r, sched.gram);
     acc.gram[static_cast<std::size_t>(r)] += rs.words + ag.words;
     acc.gram_m[static_cast<std::size_t>(r)] += rs.msgs + ag.msgs;
   }

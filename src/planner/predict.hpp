@@ -4,15 +4,11 @@
 // sparse partition schemes, and both collective schedules (bucket ring vs
 // recursive doubling/halving).
 //
-// The predictor replays the collective schedules at the counter level — for
-// a bucket All-Gather of W words over q members, the member at group
-// position i moves 2W - c_i - c_{(i+1) mod q} words (sent plus received,
-// where c_j are the flat chunk sizes) in q-1 messages; for a Reduce-Scatter
-// it moves 2W - c_i - c_{(i-1) mod q} in q-1 messages. The recursive
-// variants are replayed through their hypercube exchange (log2(q) messages;
-// subcube chunk sums for the doubling words), honoring the dispatcher's
-// fallback rules (power-of-two groups, uniform Reduce-Scatter chunks)
-// decision-for-decision. Accumulating those closed forms per rank gives
+// The predictor costs every rank's group position with flat_member_traffic
+// (src/parsim/schedule.hpp): the traffic of that member's steps in the one
+// collective schedule the transports run, on the balanced flat chunks the
+// drivers use, with the same fallback rules (power-of-two groups, uniform
+// Reduce-Scatter chunks). Accumulating those per rank gives
 // predictions that match the simulator's Machine counters *word for word
 // and message for message*, including the nnz-aware Algorithm 4 tensor
 // gather (the Eq. (18) analogue with nonzero terms: N+1 words per nonzero
@@ -25,8 +21,8 @@
 #include <vector>
 
 #include "src/mttkrp/dispatch.hpp"
-#include "src/parsim/collective_variants.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/schedule.hpp"
 #include "src/support/index.hpp"
 
 namespace mtk {

@@ -9,8 +9,8 @@ namespace mtk {
 
 namespace {
 
-// Lives on the MetricsRegistry so CSF (re)build pressure shows up in
-// metrics snapshots; build_count() stays as the legacy accessor.
+// Lives on the MetricsRegistry (mtk.csf.builds) so CSF (re)build pressure
+// shows up in metrics snapshots.
 Counter& csf_build_counter() {
   static Counter& c = MetricsRegistry::global().counter("mtk.csf.builds");
   return c;
@@ -18,7 +18,6 @@ Counter& csf_build_counter() {
 
 }  // namespace
 
-index_t CsfTensor::build_count() { return csf_build_counter().value(); }
 
 int CsfTensor::level_of_mode(int mode) const {
   MTK_CHECK(mode >= 0 && mode < order(), "mode ", mode,

@@ -32,7 +32,10 @@ class CsfTensor {
   // Compression with a fully explicit level ordering (`mode_order[l]` is the
   // tensor mode stored at level l; must be a permutation of 0..N-1). The
   // hybrid CsfSet uses this to pin one mode at the root AND one at the leaf
-  // level, so both get owner-computes kernels from a single tree.
+  // level, so both get owner-computes kernels from a single tree. Every
+  // compression (this and from_coo) adds one to the mtk.csf.builds registry
+  // counter, which tests and benchmarks snapshot around CP-ALS sweeps to
+  // assert zero per-iteration tree rebuilds.
   static CsfTensor from_coo_ordered(const SparseTensor& coo,
                                     std::vector<int> mode_order);
 
@@ -69,11 +72,6 @@ class CsfTensor {
   // Total index/pointer/value words stored — the compression the format
   // exists to provide; compare against 1 + order() words per COO nonzero.
   index_t storage_words() const;
-
-  // Process-wide count of CSF compressions performed (every from_coo /
-  // from_coo_ordered call increments it). Benchmarks and tests snapshot it
-  // around CP-ALS sweeps to assert zero per-iteration tree rebuilds.
-  static index_t build_count();
 
  private:
   shape_t dims_;

@@ -1,13 +1,15 @@
 // Tests for recursive-doubling All-Gather and recursive-halving
-// Reduce-Scatter: data correctness, bandwidth parity with the bucket
-// algorithms, and the log2(q) latency advantage.
+// Reduce-Scatter as SimTransport runs them: data correctness, bandwidth
+// parity with the bucket algorithms, the log2(q) latency advantage, and the
+// schedule module's fallback to the ring when the recursive schedule does
+// not apply.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "src/parsim/collective_variants.hpp"
-#include "src/parsim/collectives.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/schedule.hpp"
+#include "src/parsim/transport/transport.hpp"
 #include "src/support/rng.hpp"
 
 namespace mtk {
@@ -22,14 +24,16 @@ std::vector<int> iota_group(int q) {
 TEST(AllGatherDoubling, MatchesBucketResult) {
   Rng rng(10001);
   for (int q : {1, 2, 4, 8, 16}) {
-    Machine doubling(q), bucket(q);
+    SimTransport doubling(q), bucket(q);
     std::vector<std::vector<double>> contribs(static_cast<std::size_t>(q));
     for (auto& c : contribs) {
       c.resize(5);
       rng.fill_normal(c);
     }
-    const auto a = all_gather_doubling(doubling, iota_group(q), contribs);
-    const auto b = all_gather_bucket(bucket, iota_group(q), contribs);
+    const auto a = doubling.all_gather(iota_group(q), contribs,
+                                       CollectiveKind::kRecursive);
+    const auto b =
+        bucket.all_gather(iota_group(q), contribs, CollectiveKind::kBucket);
     EXPECT_EQ(a, b) << "q = " << q;
   }
 }
@@ -37,24 +41,24 @@ TEST(AllGatherDoubling, MatchesBucketResult) {
 TEST(AllGatherDoubling, SameWordsFewerMessages) {
   const int q = 16;
   const index_t w = 10;
-  Machine doubling(q), bucket(q);
+  SimTransport doubling(q), bucket(q);
   std::vector<std::vector<double>> contribs(
       static_cast<std::size_t>(q), std::vector<double>(static_cast<std::size_t>(w), 1.0));
-  all_gather_doubling(doubling, iota_group(q), contribs);
-  all_gather_bucket(bucket, iota_group(q), contribs);
+  doubling.all_gather(iota_group(q), contribs, CollectiveKind::kRecursive);
+  bucket.all_gather(iota_group(q), contribs, CollectiveKind::kBucket);
   for (int r = 0; r < q; ++r) {
     EXPECT_EQ(doubling.stats(r).words_sent, (q - 1) * w) << "rank " << r;
     EXPECT_EQ(doubling.stats(r).words_sent, bucket.stats(r).words_sent);
   }
   // log2(16) = 4 messages vs 15 for the ring.
-  EXPECT_EQ(max_messages_sent(doubling, iota_group(q)), 4);
-  EXPECT_EQ(max_messages_sent(bucket, iota_group(q)), 15);
+  EXPECT_EQ(doubling.max_messages_sent(), 4);
+  EXPECT_EQ(bucket.max_messages_sent(), 15);
 }
 
 TEST(ReduceScatterHalving, MatchesDirectSum) {
   Rng rng(10003);
   for (int q : {1, 2, 4, 8}) {
-    Machine machine(q);
+    SimTransport sim(q);
     const index_t len = 8 * q;
     std::vector<std::vector<double>> inputs(static_cast<std::size_t>(q));
     for (auto& v : inputs) {
@@ -62,7 +66,8 @@ TEST(ReduceScatterHalving, MatchesDirectSum) {
       rng.fill_normal(v);
     }
     const auto chunks =
-        reduce_scatter_halving(machine, iota_group(q), inputs);
+        sim.reduce_scatter(iota_group(q), inputs, flat_chunk_sizes(len, q),
+                           CollectiveKind::kRecursive);
     ASSERT_EQ(chunks.size(), static_cast<std::size_t>(q));
     for (int i = 0; i < q; ++i) {
       const index_t chunk_len = len / q;
@@ -85,35 +90,54 @@ TEST(ReduceScatterHalving, MatchesDirectSum) {
 TEST(ReduceScatterHalving, BandwidthMatchesBucket) {
   const int q = 8;
   const index_t len = 64;
-  Machine halving(q), bucket(q);
+  SimTransport halving(q), bucket(q);
   std::vector<std::vector<double>> inputs(
       static_cast<std::size_t>(q), std::vector<double>(static_cast<std::size_t>(len), 2.0));
-  reduce_scatter_halving(halving, iota_group(q), inputs);
-  reduce_scatter_bucket(bucket, iota_group(q), inputs,
-                        flat_chunk_sizes(len, q));
+  halving.reduce_scatter(iota_group(q), inputs, flat_chunk_sizes(len, q),
+                         CollectiveKind::kRecursive);
+  bucket.reduce_scatter(iota_group(q), inputs, flat_chunk_sizes(len, q),
+                        CollectiveKind::kBucket);
   for (int r = 0; r < q; ++r) {
     EXPECT_EQ(halving.stats(r).words_sent, bucket.stats(r).words_sent)
         << "rank " << r;
   }
-  EXPECT_EQ(max_messages_sent(halving, iota_group(q)), 3);  // log2(8)
-  EXPECT_EQ(max_messages_sent(bucket, iota_group(q)), 7);   // q-1
+  EXPECT_EQ(halving.max_messages_sent(), 3);  // log2(8)
+  EXPECT_EQ(bucket.max_messages_sent(), 7);   // q-1
 }
 
-TEST(CollectiveVariants, RejectNonPowerOfTwoGroups) {
-  Machine machine(6);
+TEST(CollectiveVariants, NonPowerOfTwoGroupsFallBackToTheRing) {
+  EXPECT_FALSE(recursive_applies(CollectiveOp::kAllGather, 3, true));
+  EXPECT_FALSE(recursive_applies(CollectiveOp::kReduceScatter, 3, true));
+  EXPECT_FALSE(Collective::resolve(CollectiveOp::kAllGather,
+                                   CollectiveKind::kRecursive, {1, 1, 1})
+                   .recursive);
+  const Collective rs = Collective::resolve(
+      CollectiveOp::kReduceScatter, CollectiveKind::kRecursive, {2, 2, 2});
+  EXPECT_FALSE(rs.recursive);
+  EXPECT_EQ(rs.rounds(), 2);
+
+  SimTransport sim(6);
   std::vector<std::vector<double>> contribs(3, std::vector<double>{1.0});
-  EXPECT_THROW(all_gather_doubling(machine, {0, 1, 2}, contribs),
-               std::invalid_argument);
-  std::vector<std::vector<double>> inputs(3, std::vector<double>(6, 1.0));
-  EXPECT_THROW(reduce_scatter_halving(machine, {0, 1, 2}, inputs),
-               std::invalid_argument);
+  sim.all_gather({0, 1, 2}, contribs, CollectiveKind::kRecursive);
+  EXPECT_EQ(sim.max_messages_sent(), 2);  // q-1 ring rounds
 }
 
-TEST(ReduceScatterHalving, RejectsIndivisibleLength) {
-  Machine machine(4);
+TEST(ReduceScatterHalving, IndivisibleLengthFallsBackToTheRing) {
+  const std::vector<index_t> ragged = flat_chunk_sizes(6, 4);  // 2,2,1,1
+  EXPECT_FALSE(Collective::resolve(CollectiveOp::kReduceScatter,
+                                   CollectiveKind::kRecursive, ragged)
+                   .recursive);
+  EXPECT_TRUE(Collective::resolve(CollectiveOp::kReduceScatter,
+                                  CollectiveKind::kRecursive,
+                                  flat_chunk_sizes(8, 4))
+                  .recursive);
+
+  SimTransport sim(4);
   std::vector<std::vector<double>> inputs(4, std::vector<double>(6, 1.0));
-  EXPECT_THROW(reduce_scatter_halving(machine, iota_group(4), inputs),
-               std::invalid_argument);
+  const auto chunks = sim.reduce_scatter(iota_group(4), inputs, ragged,
+                                         CollectiveKind::kRecursive);
+  EXPECT_EQ(sim.max_messages_sent(), 3);  // q-1 ring rounds, not log2(4)
+  EXPECT_EQ(chunks[2], (std::vector<double>{4.0}));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Tests for the bucket collectives: data correctness and *exact* word
-// counts against the (q-1)-step ring schedule the paper assumes.
+// Tests for the bucket (ring) collectives as SimTransport runs them: data
+// correctness and *exact* word counts against the (q-1)-step ring schedule
+// the paper assumes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "src/parsim/collectives.hpp"
 #include "src/parsim/distribution.hpp"
+#include "src/parsim/transport/transport.hpp"
 #include "src/support/rng.hpp"
 
 namespace mtk {
@@ -17,11 +18,13 @@ std::vector<int> iota_group(int q, int offset = 0) {
   return g;
 }
 
+constexpr CollectiveKind kRing = CollectiveKind::kBucket;
+
 TEST(AllGather, ConcatenatesContributionsInGroupOrder) {
-  Machine machine(3);
+  SimTransport sim(3);
   const std::vector<std::vector<double>> contribs{{1, 2}, {3}, {4, 5, 6}};
   const std::vector<double> result =
-      all_gather_bucket(machine, iota_group(3), contribs);
+      sim.all_gather(iota_group(3), contribs, kRing);
   EXPECT_EQ(result, (std::vector<double>{1, 2, 3, 4, 5, 6}));
 }
 
@@ -30,45 +33,44 @@ TEST(AllGather, BalancedWordCountsMatchBucketFormula) {
   // exactly (q-1) * w words.
   const int q = 5;
   const index_t w = 7;
-  Machine machine(q);
+  SimTransport sim(q);
   std::vector<std::vector<double>> contribs(
       static_cast<std::size_t>(q), std::vector<double>(static_cast<std::size_t>(w), 1.0));
-  all_gather_bucket(machine, iota_group(q), contribs);
+  sim.all_gather(iota_group(q), contribs, kRing);
   for (int r = 0; r < q; ++r) {
-    EXPECT_EQ(machine.stats(r).words_sent, (q - 1) * w) << "rank " << r;
-    EXPECT_EQ(machine.stats(r).words_received, (q - 1) * w) << "rank " << r;
+    EXPECT_EQ(sim.stats(r).words_sent, (q - 1) * w) << "rank " << r;
+    EXPECT_EQ(sim.stats(r).words_received, (q - 1) * w) << "rank " << r;
   }
 }
 
 TEST(AllGather, IrregularChunksCountExactly) {
   // Ring schedule: rank i sends every chunk except chunk (i+1) mod q, and
   // receives every chunk except its own.
-  Machine machine(3);
+  SimTransport sim(3);
   const std::vector<std::vector<double>> contribs{{1, 2}, {3}, {4, 5, 6}};
-  all_gather_bucket(machine, iota_group(3), contribs);
+  sim.all_gather(iota_group(3), contribs, kRing);
   const index_t sizes[3] = {2, 1, 3};
   const index_t total = 6;
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(machine.stats(i).words_sent, total - sizes[(i + 1) % 3]);
-    EXPECT_EQ(machine.stats(i).words_received, total - sizes[i]);
+    EXPECT_EQ(sim.stats(i).words_sent, total - sizes[(i + 1) % 3]);
+    EXPECT_EQ(sim.stats(i).words_received, total - sizes[i]);
   }
 }
 
 TEST(AllGather, SingletonGroupIsFree) {
-  Machine machine(4);
-  const std::vector<double> result =
-      all_gather_bucket(machine, {2}, {{9, 8, 7}});
+  SimTransport sim(4);
+  const std::vector<double> result = sim.all_gather({2}, {{9, 8, 7}}, kRing);
   EXPECT_EQ(result, (std::vector<double>{9, 8, 7}));
-  EXPECT_EQ(machine.total_words_sent(), 0);
+  EXPECT_EQ(sim.total_words_sent(), 0);
 }
 
 TEST(ReduceScatter, ComputesElementwiseSums) {
-  Machine machine(3);
+  SimTransport sim(3);
   // Three members, vector length 6, chunks of 2.
   std::vector<std::vector<double>> inputs{
       {1, 1, 1, 1, 1, 1}, {2, 2, 2, 2, 2, 2}, {3, 3, 3, 3, 3, 3}};
-  const auto chunks = reduce_scatter_bucket(machine, iota_group(3), inputs,
-                                            {2, 2, 2});
+  const auto chunks =
+      sim.reduce_scatter(iota_group(3), inputs, {2, 2, 2}, kRing);
   ASSERT_EQ(chunks.size(), 3u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(chunks[static_cast<std::size_t>(i)].size(), 2u);
@@ -81,7 +83,7 @@ TEST(ReduceScatter, RandomInputsMatchDirectSum) {
   Rng rng(433);
   const int q = 6;
   const index_t len = 23;  // deliberately not divisible by q
-  Machine machine(q);
+  SimTransport sim(q);
   std::vector<std::vector<double>> inputs(static_cast<std::size_t>(q));
   for (auto& v : inputs) {
     v.resize(static_cast<std::size_t>(len));
@@ -89,7 +91,7 @@ TEST(ReduceScatter, RandomInputsMatchDirectSum) {
   }
   const auto sizes = flat_chunk_sizes(len, q);
   const auto chunks =
-      reduce_scatter_bucket(machine, iota_group(q), inputs, sizes);
+      sim.reduce_scatter(iota_group(q), inputs, sizes, kRing);
 
   std::vector<double> expected(static_cast<std::size_t>(len), 0.0);
   for (const auto& v : inputs) {
@@ -109,56 +111,45 @@ TEST(ReduceScatter, RandomInputsMatchDirectSum) {
 
 TEST(ReduceScatter, WordCountsMatchBucketFormula) {
   // Rank i sends total - size(chunk i) words over the q-1 steps.
-  Machine machine(4);
+  SimTransport sim(4);
   std::vector<std::vector<double>> inputs(
       4, std::vector<double>(10, 1.0));
   const std::vector<index_t> sizes{4, 3, 2, 1};
-  reduce_scatter_bucket(machine, iota_group(4), inputs, sizes);
+  sim.reduce_scatter(iota_group(4), inputs, sizes, kRing);
   const index_t total = 10;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(machine.stats(i).words_sent,
+    EXPECT_EQ(sim.stats(i).words_sent,
               total - sizes[static_cast<std::size_t>(i)])
         << "rank " << i;
   }
 }
 
 TEST(ReduceScatter, ValidatesInputLengths) {
-  Machine machine(2);
+  SimTransport sim(2);
   std::vector<std::vector<double>> inputs{{1, 2, 3}, {1, 2}};
-  EXPECT_THROW(
-      reduce_scatter_bucket(machine, iota_group(2), inputs, {2, 1}),
-      std::invalid_argument);
+  EXPECT_THROW(sim.reduce_scatter(iota_group(2), inputs, {2, 1}, kRing),
+               std::invalid_argument);
 }
 
 TEST(AllReduce, EveryMemberGetsTheFullSum) {
-  Machine machine(4);
+  SimTransport sim(4);
   std::vector<std::vector<double>> inputs{
       {1, 0, 0}, {0, 2, 0}, {0, 0, 3}, {1, 1, 1}};
   const std::vector<double> sum =
-      all_reduce_bucket(machine, iota_group(4), inputs);
+      sim.all_reduce(iota_group(4), inputs, kRing);
   EXPECT_EQ(sum, (std::vector<double>{2, 3, 4}));
   // Cost: reduce-scatter + all-gather, each ~ (q-1)/q * len per rank.
-  EXPECT_GT(machine.total_words_sent(), 0);
-}
-
-TEST(Broadcast, RingCountsQMinusOneMessages) {
-  Machine machine(5);
-  broadcast_ring(machine, iota_group(5), 2, 100);
-  index_t total = 0;
-  for (int r = 0; r < 5; ++r) total += machine.stats(r).words_sent;
-  EXPECT_EQ(total, 4 * 100);
-  // The root never receives.
-  EXPECT_EQ(machine.stats(2).words_received, 0);
+  EXPECT_GT(sim.total_words_sent(), 0);
 }
 
 TEST(Collectives, GroupValidation) {
-  Machine machine(4);
-  EXPECT_THROW(all_gather_bucket(machine, {}, {}), std::invalid_argument);
-  EXPECT_THROW(all_gather_bucket(machine, {0, 0}, {{1}, {2}}),
+  SimTransport sim(4);
+  EXPECT_THROW(sim.all_gather({}, {}, kRing), std::invalid_argument);
+  EXPECT_THROW(sim.all_gather({0, 0}, {{1}, {2}}, kRing),
                std::invalid_argument);
-  EXPECT_THROW(all_gather_bucket(machine, {0, 7}, {{1}, {2}}),
+  EXPECT_THROW(sim.all_gather({0, 7}, {{1}, {2}}, kRing),
                std::invalid_argument);
-  EXPECT_THROW(all_gather_bucket(machine, {0, 1}, {{1}}),
+  EXPECT_THROW(sim.all_gather({0, 1}, {{1}}, kRing),
                std::invalid_argument);
 }
 

@@ -9,6 +9,7 @@
 #include "src/cp/cp_als.hpp"
 #include "src/cp/cp_gradient.hpp"
 #include "src/mttkrp/dispatch.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/support/rng.hpp"
 
 namespace mtk {
@@ -163,39 +164,44 @@ TEST(FusedAllModes, ReusesWorkOverSeparateMttkrps) {
 // ---------------------------------------------------------------------------
 // Zero-rebuild contracts.
 
+// CSF compressions so far in this process (the mtk.csf.builds counter).
+index_t csf_builds() {
+  return MetricsRegistry::global().counter("mtk.csf.builds").value();
+}
+
 TEST(CsfAccelCache, RepeatedCallsOnOneHandleBuildTreesOnce) {
   const Problem p = make_problem({10, 8, 9}, 3, 0.06, 9031);
   const StoredTensor handle = StoredTensor::coo_view(p.coo);
 
   // Per-mode forest: N builds on first touch, zero afterwards; the same
   // object is served to every caller.
-  const index_t before_forest = CsfTensor::build_count();
+  const index_t before_forest = csf_builds();
   const CsfSet& forest = handle.csf_forest();
-  EXPECT_EQ(CsfTensor::build_count() - before_forest, 3);
+  EXPECT_EQ(csf_builds() - before_forest, 3);
   EXPECT_EQ(&handle.csf_forest(), &forest);
-  EXPECT_EQ(CsfTensor::build_count() - before_forest, 3);
+  EXPECT_EQ(csf_builds() - before_forest, 3);
 
   // Copies share the cache.
   const StoredTensor copy = handle;
   EXPECT_EQ(&copy.csf_forest(), &forest);
-  EXPECT_EQ(CsfTensor::build_count() - before_forest, 3);
+  EXPECT_EQ(csf_builds() - before_forest, 3);
 
   // kCsf dispatch on a COO handle uses the cached forest — no rebuilds.
   MttkrpOptions opts;
   opts.sparse_algo = SparseMttkrpAlgo::kCsf;
   const Matrix expected = mttkrp_coo(p.coo, p.factors, 1);
-  const index_t before_calls = CsfTensor::build_count();
+  const index_t before_calls = csf_builds();
   for (int repeat = 0; repeat < 3; ++repeat) {
     EXPECT_LT(max_abs_diff(mttkrp(handle, p.factors, 1, opts), expected),
               kTol);
   }
-  EXPECT_EQ(CsfTensor::build_count(), before_calls);
+  EXPECT_EQ(csf_builds(), before_calls);
 
   // All-modes: one fused tree on first call, zero rebuilds afterwards.
   const AllModesResult first = mttkrp_all_modes(handle, p.factors);
-  const index_t after_first = CsfTensor::build_count();
+  const index_t after_first = csf_builds();
   const AllModesResult second = mttkrp_all_modes(handle, p.factors);
-  EXPECT_EQ(CsfTensor::build_count(), after_first);
+  EXPECT_EQ(csf_builds(), after_first);
   for (int mode = 0; mode < 3; ++mode) {
     EXPECT_LT(max_abs_diff(first.outputs[static_cast<std::size_t>(mode)],
                            second.outputs[static_cast<std::size_t>(mode)]),
@@ -212,10 +218,10 @@ TEST(CsfAccelCache, CpAlsSweepsRebuildNothingAfterTheForest) {
   opts.max_iterations = 6;
   opts.tolerance = 0.0;  // force all iterations
 
-  const index_t before = CsfTensor::build_count();
+  const index_t before = csf_builds();
   const CpAlsResult result = cp_als(p.coo, opts);
   // Exactly the N forest trees, regardless of the iteration count.
-  EXPECT_EQ(CsfTensor::build_count() - before, 3);
+  EXPECT_EQ(csf_builds() - before, 3);
   EXPECT_EQ(result.iterations, 6);
 
   // The forest-backed driver matches the explicit-COO driver sweep for
@@ -235,12 +241,12 @@ TEST(CsfAccelCache, CpGradientEvaluationsShareOneFusedTree) {
   opts.rank = 2;
   opts.max_iterations = 4;
 
-  const index_t before = CsfTensor::build_count();
+  const index_t before = csf_builds();
   const CpGradResult result =
       cp_gradient_descent(StoredTensor::coo_view(p.coo), opts);
   // One fused tree serves every evaluation (accepted iterates and rejected
   // Armijo trials alike).
-  EXPECT_EQ(CsfTensor::build_count() - before, 1);
+  EXPECT_EQ(csf_builds() - before, 1);
   EXPECT_GE(result.iterations, 1);
 }
 

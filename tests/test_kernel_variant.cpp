@@ -1,12 +1,13 @@
 // Regression tests for ExecutionPlan::kernel_variant plumbing: an
 // explicitly requested sparse-kernel schedule must actually execute (the
-// process-wide KernelVariantCounters are the witness), all the way from the
+// mtk.kernel.variant.* registry counters are the witness), all the way from the
 // kernels through the parallel drivers to the autotuned CP-ALS path that
 // used to drop the planner's choice on the floor.
 #include <gtest/gtest.h>
 
 #include "src/cp/par_cp_als.hpp"
 #include "src/mttkrp/sparse_kernels.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/parsim/par_mttkrp.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/support/rng.hpp"
@@ -33,6 +34,31 @@ SparseProblem make_problem(const shape_t& dims, index_t rank,
   return p;
 }
 
+// Executions of each kernel schedule since construction, read off the
+// mtk.kernel.variant.* registry counters.
+class VariantCounts {
+ public:
+  VariantCounts()
+      : serial_(value("serial")),
+        privatized_(value("privatized")),
+        atomic_(value("atomic")),
+        tiled_(value("tiled")) {}
+
+  index_t serial() const { return value("serial") - serial_; }
+  index_t privatized() const { return value("privatized") - privatized_; }
+  index_t atomic_adds() const { return value("atomic") - atomic_; }
+  index_t tiled() const { return value("tiled") - tiled_; }
+
+ private:
+  static index_t value(const char* variant) {
+    return MetricsRegistry::global()
+        .counter(std::string("mtk.kernel.variant.") + variant)
+        .value();
+  }
+
+  index_t serial_, privatized_, atomic_, tiled_;
+};
+
 // ---------------------------------------------------------------------------
 // Kernel layer: an explicit variant runs its schedule even single-threaded
 // (the old code silently took the serial fast path), and stays correct.
@@ -43,35 +69,34 @@ TEST(KernelVariantCountersTest, ExplicitVariantsExecuteTheirSchedule) {
 
   struct Case {
     SparseKernelVariant variant;
-    index_t KernelVariantCounters::* counter;
+    index_t (VariantCounts::*counter)() const;
   };
   const Case cases[] = {
-      {SparseKernelVariant::kPrivatized, &KernelVariantCounters::privatized},
-      {SparseKernelVariant::kAtomic, &KernelVariantCounters::atomic_adds},
-      {SparseKernelVariant::kTiled, &KernelVariantCounters::tiled},
+      {SparseKernelVariant::kPrivatized, &VariantCounts::privatized},
+      {SparseKernelVariant::kAtomic, &VariantCounts::atomic_adds},
+      {SparseKernelVariant::kTiled, &VariantCounts::tiled},
   };
   for (const Case& c : cases) {
-    reset_kernel_variant_counters();
+    const VariantCounts counters;
     const Matrix got =
         mttkrp_coo(p.coo, p.factors, 1, /*parallel=*/false, c.variant);
-    const KernelVariantCounters counters = kernel_variant_counters();
-    EXPECT_EQ(1, counters.*(c.counter)) << to_string(c.variant);
-    EXPECT_EQ(0, counters.serial) << to_string(c.variant);
+    EXPECT_EQ(1, (counters.*(c.counter))()) << to_string(c.variant);
+    EXPECT_EQ(0, counters.serial()) << to_string(c.variant);
     EXPECT_LT(max_abs_diff(got, expected), 1e-9) << to_string(c.variant);
 
-    reset_kernel_variant_counters();
+    const VariantCounts csf_counters;
     const Matrix got_csf =
         mttkrp_csf(p.csf, p.factors, 1, /*parallel=*/false, c.variant);
-    EXPECT_GT(kernel_variant_counters().*(c.counter), 0)
+    EXPECT_GT((csf_counters.*(c.counter))(), 0)
         << "csf " << to_string(c.variant);
     EXPECT_LT(max_abs_diff(got_csf, expected), 1e-9)
         << "csf " << to_string(c.variant);
   }
 
   // kAuto at one thread keeps the serial fast path.
-  reset_kernel_variant_counters();
+  const VariantCounts auto_counters;
   mttkrp_coo(p.coo, p.factors, 1);
-  EXPECT_GT(kernel_variant_counters().serial, 0);
+  EXPECT_GT(auto_counters.serial(), 0);
 }
 
 TEST(KernelVariantCountersTest, ExplicitVariantIsDeterministic) {
@@ -94,21 +119,20 @@ TEST(KernelVariantPlumbing, StationaryDriverForwardsTheVariant) {
   const SparseProblem p = make_problem({6, 6, 6}, 4, 404);
   const std::vector<int> grid{2, 2, 1};
 
-  reset_kernel_variant_counters();
+  const VariantCounts auto_counters;
   SimTransport sim(4);
   const ParMttkrpResult r_auto = par_mttkrp_stationary(
       sim, StoredTensor::coo_view(p.coo), p.factors, 0, grid);
-  EXPECT_EQ(0, kernel_variant_counters().tiled);
+  EXPECT_EQ(0, auto_counters.tiled());
 
-  reset_kernel_variant_counters();
+  const VariantCounts counters;
   SimTransport sim2(4);
   const ParMttkrpResult r_tiled = par_mttkrp_stationary(
       sim2, StoredTensor::coo_view(p.coo), p.factors, 0, grid,
       CollectiveKind::kBucket, SparsePartitionScheme::kBlock,
       SparseKernelVariant::kTiled);
-  const KernelVariantCounters counters = kernel_variant_counters();
-  EXPECT_GT(counters.tiled, 0);
-  EXPECT_EQ(0, counters.serial);
+  EXPECT_GT(counters.tiled(), 0);
+  EXPECT_EQ(0, counters.serial());
   EXPECT_LT(max_abs_diff(r_auto.b, r_tiled.b), 1e-9);
 }
 
@@ -120,11 +144,11 @@ TEST(KernelVariantPlumbing, ParCpAlsOptionForwardsTheVariant) {
   opts.grid = {2, 2, 1};
   opts.kernel_variant = SparseKernelVariant::kPrivatized;
 
-  reset_kernel_variant_counters();
+  const VariantCounts counters;
   const ParCpAlsResult result =
       par_cp_als(StoredTensor::coo_view(p.coo), opts);
-  EXPECT_GT(kernel_variant_counters().privatized, 0);
-  EXPECT_EQ(0, kernel_variant_counters().serial);
+  EXPECT_GT(counters.privatized(), 0);
+  EXPECT_EQ(0, counters.serial());
   EXPECT_EQ(2, result.iterations);
 }
 
@@ -157,13 +181,13 @@ TEST(KernelVariantPlumbing, AutotunedParCpAlsHonorsThePlansVariant) {
   opts.procs = 4;
   opts.machine = cal;
 
-  reset_kernel_variant_counters();
+  const VariantCounts counters;
   const ParCpAlsResult result =
       par_cp_als(StoredTensor::coo_view(p.coo), opts);
   ASSERT_TRUE(result.autotuned);
   ASSERT_EQ(SparseKernelVariant::kTiled, result.plan.kernel_variant);
-  EXPECT_GT(kernel_variant_counters().tiled, 0);
-  EXPECT_EQ(0, kernel_variant_counters().serial);
+  EXPECT_GT(counters.tiled(), 0);
+  EXPECT_EQ(0, counters.serial());
 }
 
 }  // namespace

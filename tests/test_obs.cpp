@@ -1,10 +1,8 @@
 // Observability layer: the metrics registry's fast-path semantics and JSON
 // snapshot, the span tracer's disabled-path / nesting / rank-attribution
 // behavior, the Chrome trace export (validated through the in-tree JSON
-// reader), the migrated legacy counters (kernel-variant witnesses, CSF
-// build counts) staying in lockstep with their registry instruments, and
-// plan-vs-actual drift being identically zero on the simulator for both a
-// single MTTKRP and a full par_cp_als run.
+// reader), and plan-vs-actual drift being identically zero on the simulator
+// for both a single MTTKRP and a full par_cp_als run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +25,6 @@
 #include "src/planner/predict.hpp"
 #include "src/support/json.hpp"
 #include "src/support/rng.hpp"
-#include "src/tensor/csf.hpp"
 
 namespace mtk {
 namespace {
@@ -134,42 +131,6 @@ TEST(MetricsRegistry, JsonSnapshotParsesWithRequiredShape) {
     }
   }
   EXPECT_TRUE(saw_counter && saw_gauge && saw_histogram);
-}
-
-// The legacy accessors are shims over the registry now; both views of the
-// kernel-variant witnesses must move together.
-TEST(MetricsMigration, KernelVariantCountersMatchRegistry) {
-  Rng rng(3);
-  const shape_t dims = {12, 10, 8};
-  const SparseTensor x = SparseTensor::random_sparse(dims, 0.1, rng);
-  const std::vector<Matrix> factors = random_factors(dims, 4, rng);
-
-  reset_kernel_variant_counters();
-  EXPECT_EQ(0, counter_value("mtk.kernel.variant.serial"));
-
-  (void)mttkrp_coo(x, factors, 0);
-  (void)mttkrp_coo(x, factors, 1);
-
-  const KernelVariantCounters after = kernel_variant_counters();
-  EXPECT_EQ(after.serial, counter_value("mtk.kernel.variant.serial"));
-  EXPECT_EQ(after.privatized,
-            counter_value("mtk.kernel.variant.privatized"));
-  EXPECT_EQ(after.atomic_adds, counter_value("mtk.kernel.variant.atomic"));
-  EXPECT_EQ(after.tiled, counter_value("mtk.kernel.variant.tiled"));
-  EXPECT_EQ(2, after.serial);
-}
-
-TEST(MetricsMigration, CsfBuildCountMatchesRegistry) {
-  Rng rng(4);
-  const SparseTensor coo =
-      SparseTensor::random_sparse({10, 9, 8}, 0.1, rng);
-  const index_t shim_before = CsfTensor::build_count();
-  const std::int64_t reg_before = counter_value("mtk.csf.builds");
-  const CsfTensor csf = CsfTensor::from_coo(coo);
-  (void)csf;
-  EXPECT_EQ(CsfTensor::build_count() - shim_before,
-            counter_value("mtk.csf.builds") - reg_before);
-  EXPECT_GT(CsfTensor::build_count(), shim_before);
 }
 
 TEST(Tracer, DisabledSpansAreInertAndFree) {

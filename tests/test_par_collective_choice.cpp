@@ -25,24 +25,17 @@ Problem make_problem(const shape_t& dims, index_t rank, std::uint64_t seed) {
   return p;
 }
 
-index_t max_messages(const Machine& machine) {
-  index_t best = 0;
-  for (int r = 0; r < machine.num_ranks(); ++r) {
-    best = std::max(best, machine.stats(r).messages_sent);
-  }
-  return best;
-}
-
 TEST(ParCollectiveChoice, StationarySameWordsFewerMessages) {
   const Problem p = make_problem({16, 16, 16}, 8, 13001);
   const std::vector<int> grid{2, 4, 2};  // power-of-two groups everywhere
   const Matrix expected = mttkrp_reference(p.x, p.factors, 0);
 
-  Machine bucket(16), recursive(16);
+  const StoredTensor x = StoredTensor::dense_view(p.x);
+  SimTransport bucket(16), recursive(16);
   const ParMttkrpResult rb = par_mttkrp_stationary(
-      bucket, p.x, p.factors, 0, grid, CollectiveKind::kBucket);
+      bucket, x, p.factors, 0, grid, CollectiveKind::kBucket);
   const ParMttkrpResult rr = par_mttkrp_stationary(
-      recursive, p.x, p.factors, 0, grid, CollectiveKind::kRecursive);
+      recursive, x, p.factors, 0, grid, CollectiveKind::kRecursive);
 
   EXPECT_LT(max_abs_diff(rb.b, expected), 1e-9);
   EXPECT_LT(max_abs_diff(rr.b, expected), 1e-9);
@@ -50,7 +43,7 @@ TEST(ParCollectiveChoice, StationarySameWordsFewerMessages) {
     EXPECT_EQ(bucket.stats(r).words_sent, recursive.stats(r).words_sent)
         << "rank " << r;
   }
-  EXPECT_LT(max_messages(recursive), max_messages(bucket));
+  EXPECT_LT(recursive.max_messages_sent(), bucket.max_messages_sent());
 }
 
 TEST(ParCollectiveChoice, GeneralAlgorithmAlsoSupportsRecursive) {
@@ -58,27 +51,29 @@ TEST(ParCollectiveChoice, GeneralAlgorithmAlsoSupportsRecursive) {
   const std::vector<int> grid{2, 2, 2, 1};
   const Matrix expected = mttkrp_reference(p.x, p.factors, 1);
 
-  Machine bucket(8), recursive(8);
+  const StoredTensor x = StoredTensor::dense_view(p.x);
+  SimTransport bucket(8), recursive(8);
   const ParMttkrpResult rb = par_mttkrp_general(
-      bucket, p.x, p.factors, 1, grid, CollectiveKind::kBucket);
+      bucket, x, p.factors, 1, grid, CollectiveKind::kBucket);
   const ParMttkrpResult rr = par_mttkrp_general(
-      recursive, p.x, p.factors, 1, grid, CollectiveKind::kRecursive);
+      recursive, x, p.factors, 1, grid, CollectiveKind::kRecursive);
 
   EXPECT_LT(max_abs_diff(rb.b, expected), 1e-9);
   EXPECT_LT(max_abs_diff(rr.b, expected), 1e-9);
   EXPECT_EQ(rb.max_words_moved, rr.max_words_moved);
-  EXPECT_LE(max_messages(recursive), max_messages(bucket));
+  EXPECT_LE(recursive.max_messages_sent(), bucket.max_messages_sent());
 }
 
 TEST(ParCollectiveChoice, FallsBackGracefullyOnOddGroups) {
-  // 3-way hyperslices are not powers of two; the dispatcher must fall back
+  // 3-way hyperslices are not powers of two; the schedule must fall back
   // to the bucket schedule and still produce correct results.
   const Problem p = make_problem({9, 8, 8}, 4, 13005);
   const std::vector<int> grid{3, 2, 2};
   const Matrix expected = mttkrp_reference(p.x, p.factors, 2);
-  Machine machine(12);
-  const ParMttkrpResult r = par_mttkrp_general(
-      machine, p.x, p.factors, 2, {1, 3, 2, 2}, CollectiveKind::kRecursive);
+  SimTransport sim(12);
+  const ParMttkrpResult r =
+      par_mttkrp_general(sim, StoredTensor::dense_view(p.x), p.factors, 2,
+                         {1, 3, 2, 2}, CollectiveKind::kRecursive);
   EXPECT_LT(max_abs_diff(r.b, expected), 1e-9);
   (void)grid;
 }

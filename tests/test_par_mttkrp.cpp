@@ -110,17 +110,18 @@ TEST(ParMttkrp, StationaryCountsMatchEq14Exactly) {
   const index_t rank = 4;
   const std::vector<int> grid{2, 2, 2};
   const Problem p = make_problem(dims, rank, 4001);
-  Machine machine(8);
-  par_mttkrp_stationary(machine, p.x, p.factors, 0, grid);
+  SimTransport sim(8);
+  par_mttkrp_stationary(sim, StoredTensor::dense_view(p.x), p.factors, 0,
+                        grid);
 
   CostProblem cp;
   cp.dims = dims;
   cp.rank = rank;
   const double eq14 = stationary_comm_cost(cp, {2, 2, 2});
   for (int r = 0; r < 8; ++r) {
-    EXPECT_EQ(machine.stats(r).words_sent, static_cast<index_t>(eq14))
+    EXPECT_EQ(sim.stats(r).words_sent, static_cast<index_t>(eq14))
         << "rank " << r;
-    EXPECT_EQ(machine.stats(r).words_received, static_cast<index_t>(eq14))
+    EXPECT_EQ(sim.stats(r).words_received, static_cast<index_t>(eq14))
         << "rank " << r;
   }
 }
@@ -130,15 +131,16 @@ TEST(ParMttkrp, GeneralCountsMatchEq18Exactly) {
   const index_t rank = 8;
   const std::vector<int> grid{2, 2, 2, 1};  // P0=2, P=8
   const Problem p = make_problem(dims, rank, 4003);
-  Machine machine(8);
-  par_mttkrp_general(machine, p.x, p.factors, 0, grid);
+  SimTransport sim(8);
+  par_mttkrp_general(sim, StoredTensor::dense_view(p.x), p.factors, 0,
+                     grid);
 
   CostProblem cp;
   cp.dims = dims;
   cp.rank = rank;
   const double eq18 = general_comm_cost(cp, {2, 2, 2, 1});
   for (int r = 0; r < 8; ++r) {
-    EXPECT_EQ(machine.stats(r).words_sent, static_cast<index_t>(eq18))
+    EXPECT_EQ(sim.stats(r).words_sent, static_cast<index_t>(eq18))
         << "rank " << r;
   }
 }
@@ -208,21 +210,21 @@ TEST(ParMttkrp, PhaseBreakdownIsRecorded) {
 
 TEST(ParMttkrpValidation, RejectsBadGrids) {
   const Problem p = make_problem({4, 4, 4}, 2, 4027);
-  Machine machine(8);
+  const StoredTensor x = StoredTensor::dense_view(p.x);
+  SimTransport sim(8);
   // Wrong dimensionality.
-  EXPECT_THROW(par_mttkrp_stationary(machine, p.x, p.factors, 0, {2, 4}),
+  EXPECT_THROW(par_mttkrp_stationary(sim, x, p.factors, 0, {2, 4}),
                std::invalid_argument);
   // Product mismatch with machine size.
-  EXPECT_THROW(par_mttkrp_stationary(machine, p.x, p.factors, 0, {2, 2, 1}),
+  EXPECT_THROW(par_mttkrp_stationary(sim, x, p.factors, 0, {2, 2, 1}),
                std::invalid_argument);
   // Grid extent exceeding a tensor dimension.
-  Machine machine2(8);
-  EXPECT_THROW(
-      par_mttkrp_stationary(machine2, p.x, p.factors, 0, {8, 1, 1}),
-      std::invalid_argument);
+  SimTransport sim2(8);
+  EXPECT_THROW(par_mttkrp_stationary(sim2, x, p.factors, 0, {8, 1, 1}),
+               std::invalid_argument);
   // P0 exceeding R.
-  Machine machine3(8);
-  EXPECT_THROW(par_mttkrp_general(machine3, p.x, p.factors, 0, {8, 1, 1, 1}),
+  SimTransport sim3(8);
+  EXPECT_THROW(par_mttkrp_general(sim3, x, p.factors, 0, {8, 1, 1, 1}),
                std::invalid_argument);
 }
 

@@ -61,15 +61,16 @@ TEST(ParAllModes, ReusesGathersAcrossModes) {
   const Problem p = make_problem({12, 12, 12}, 6, 8005);
   const std::vector<int> grid{2, 2, 3};
 
-  Machine shared(12);
+  const StoredTensor x = StoredTensor::dense_view(p.x);
+  SimTransport shared(12);
   const ParAllModesResult all =
-      par_mttkrp_all_modes(shared, p.x, p.factors, grid);
+      par_mttkrp_all_modes(shared, x, p.factors, grid);
 
   index_t separate_total = 0;
   for (int mode = 0; mode < 3; ++mode) {
-    Machine machine(12);
+    SimTransport sim(12);
     const ParMttkrpResult r =
-        par_mttkrp_stationary(machine, p.x, p.factors, mode, grid);
+        par_mttkrp_stationary(sim, x, p.factors, mode, grid);
     separate_total += r.max_words_moved;
   }
   EXPECT_LT(all.max_words_moved, separate_total);
@@ -115,15 +116,16 @@ TEST(ParAllModes, PhaseBreakdownHasOneGatherPerMode) {
 
 TEST(ParAllModes, Validation) {
   const Problem p = make_problem({4, 4, 4}, 2, 8011);
-  Machine machine(8);
-  EXPECT_THROW(par_mttkrp_all_modes(machine, p.x, p.factors, {2, 2}),
+  const StoredTensor x = StoredTensor::dense_view(p.x);
+  SimTransport sim(8);
+  EXPECT_THROW(par_mttkrp_all_modes(sim, x, p.factors, {2, 2}),
                std::invalid_argument);
-  EXPECT_THROW(par_mttkrp_all_modes(machine, p.x, p.factors, {8, 1, 1}),
+  EXPECT_THROW(par_mttkrp_all_modes(sim, x, p.factors, {8, 1, 1}),
                std::invalid_argument);  // extent exceeds dim
   std::vector<Matrix> bad = p.factors;
   bad[0] = Matrix(4, 3);  // rank mismatch
-  Machine machine2(8);
-  EXPECT_THROW(par_mttkrp_all_modes(machine2, p.x, bad, {2, 2, 2}),
+  SimTransport sim2(8);
+  EXPECT_THROW(par_mttkrp_all_modes(sim2, x, bad, {2, 2, 2}),
                std::invalid_argument);
 }
 

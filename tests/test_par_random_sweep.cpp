@@ -135,11 +135,12 @@ TEST(ParRandomSweep, CollectiveKindsAgreeEverywhere) {
     int p = 1;
     for (int g : grid) p *= g;
 
-    Machine bucket(p), recursive(p);
+    const StoredTensor xs = StoredTensor::dense_view(x);
+    SimTransport bucket(p), recursive(p);
     const ParMttkrpResult rb = par_mttkrp_stationary(
-        bucket, x, factors, mode, grid, CollectiveKind::kBucket);
+        bucket, xs, factors, mode, grid, CollectiveKind::kBucket);
     const ParMttkrpResult rr = par_mttkrp_stationary(
-        recursive, x, factors, mode, grid, CollectiveKind::kRecursive);
+        recursive, xs, factors, mode, grid, CollectiveKind::kRecursive);
     EXPECT_EQ(rb.max_words_moved, rr.max_words_moved) << "trial " << trial;
     EXPECT_LT(max_abs_diff(rb.b, rr.b), 1e-9) << "trial " << trial;
   }

@@ -39,8 +39,8 @@ SparseProblem make_problem(const shape_t& dims, index_t rank, double density,
   return p;
 }
 
-// Per-rank exact communication equality between two machines.
-void expect_same_traffic(const Machine& a, const Machine& b) {
+// Per-rank exact communication equality between two simulated machines.
+void expect_same_traffic(const Transport& a, const Transport& b) {
   ASSERT_EQ(a.num_ranks(), b.num_ranks());
   for (int r = 0; r < a.num_ranks(); ++r) {
     EXPECT_EQ(a.stats(r).words_sent, b.stats(r).words_sent) << "rank " << r;
@@ -62,11 +62,11 @@ TEST_P(StationaryAgreement, BackendsAgreeBitTolerantlyWithIdenticalTraffic) {
   const SparseProblem p = make_problem(dims, rank, 0.25, seed);
   const Matrix expected = mttkrp_coo(p.coo, p.factors, mode);
 
-  Machine m_dense(grid_size(grid));
-  Machine m_coo(grid_size(grid));
-  Machine m_csf(grid_size(grid));
-  const ParMttkrpResult r_dense =
-      par_mttkrp_stationary(m_dense, p.dense, p.factors, mode, grid);
+  SimTransport m_dense(grid_size(grid));
+  SimTransport m_coo(grid_size(grid));
+  SimTransport m_csf(grid_size(grid));
+  const ParMttkrpResult r_dense = par_mttkrp_stationary(
+      m_dense, StoredTensor::dense_view(p.dense), p.factors, mode, grid);
   const ParMttkrpResult r_coo = par_mttkrp_stationary(
       m_coo, StoredTensor::coo_view(p.coo), p.factors, mode, grid);
   const ParMttkrpResult r_csf = par_mttkrp_stationary(
@@ -111,10 +111,10 @@ TEST(StationaryAgreementSweep, RandomizedSeedsAcrossGridShapes) {
     for (int mode = 0; mode < 3; ++mode) {
       const Matrix expected = mttkrp_coo(p.coo, p.factors, mode);
       for (const std::vector<int>& grid : grids) {
-        Machine m_dense(grid_size(grid));
-        Machine m_coo(grid_size(grid));
-        const ParMttkrpResult r_dense =
-            par_mttkrp_stationary(m_dense, p.dense, p.factors, mode, grid);
+        SimTransport m_dense(grid_size(grid));
+        SimTransport m_coo(grid_size(grid));
+        const ParMttkrpResult r_dense = par_mttkrp_stationary(
+            m_dense, StoredTensor::dense_view(p.dense), p.factors, mode, grid);
         const ParMttkrpResult r_coo = par_mttkrp_stationary(
             m_coo, StoredTensor::coo_view(p.coo), p.factors, mode, grid);
         EXPECT_LT(max_abs_diff(r_coo.b, expected), 1e-9)
@@ -137,8 +137,8 @@ TEST(StationaryPlan, PlannedRunsMatchAdHocRunsWordForWord) {
        {StoredTensor::coo_view(p.coo), StoredTensor::csf_view(p.csf)}) {
     const StationarySparsePlan plan = plan_stationary_sparse(x, grid);
     for (int mode = 0; mode < 3; ++mode) {
-      Machine m_plan(8);
-      Machine m_adhoc(8);
+      SimTransport m_plan(8);
+      SimTransport m_adhoc(8);
       const ParMttkrpResult planned = par_mttkrp_stationary(
           m_plan, x, p.factors, mode, grid, plan);
       const ParMttkrpResult adhoc =
@@ -153,10 +153,10 @@ TEST(StationaryPlan, RejectsMismatchedGridAndDenseStorage) {
   const SparseProblem p = make_problem({8, 8, 8}, 4, 0.2, 153);
   const StoredTensor x = StoredTensor::coo_view(p.coo);
   const StationarySparsePlan plan = plan_stationary_sparse(x, {2, 2, 2});
-  Machine machine(8);
+  SimTransport sim(8);
   // Plan built for a different grid shape.
   EXPECT_THROW(
-      par_mttkrp_stationary(machine, x, p.factors, 0, {4, 2, 1}, plan),
+      par_mttkrp_stationary(sim, x, p.factors, 0, {4, 2, 1}, plan),
       std::invalid_argument);
   // Plans are sparse-only.
   EXPECT_THROW(plan_stationary_sparse(StoredTensor::dense_view(p.dense),
@@ -209,8 +209,8 @@ TEST(StationaryMediumGrained, AgreesWithReferenceAcrossGrids) {
 TEST(StationarySparseCollectives, RecursiveMatchesBucketWordForWord) {
   const SparseProblem p = make_problem({8, 8, 8}, 4, 0.25, 307);
   const std::vector<int> grid{2, 2, 2};
-  Machine m_bucket(8);
-  Machine m_recursive(8);
+  SimTransport m_bucket(8);
+  SimTransport m_recursive(8);
   const ParMttkrpResult r_bucket = par_mttkrp_stationary(
       m_bucket, StoredTensor::coo_view(p.coo), p.factors, 1, grid,
       CollectiveKind::kBucket);
@@ -289,11 +289,11 @@ TEST(GeneralSparse, SubtensorGatherChargesTuplesNotDenseBlocks) {
 TEST(AllModesSparse, AgreesWithSingleModeRunsAndDenseTraffic) {
   const SparseProblem p = make_problem({8, 6, 10}, 4, 0.2, 601);
   const std::vector<int> grid{2, 2, 2};
-  Machine m_dense(8);
-  Machine m_coo(8);
-  Machine m_csf(8);
-  const ParAllModesResult r_dense =
-      par_mttkrp_all_modes(m_dense, p.dense, p.factors, grid);
+  SimTransport m_dense(8);
+  SimTransport m_coo(8);
+  SimTransport m_csf(8);
+  const ParAllModesResult r_dense = par_mttkrp_all_modes(
+      m_dense, StoredTensor::dense_view(p.dense), p.factors, grid);
   const ParAllModesResult r_coo = par_mttkrp_all_modes(
       m_coo, StoredTensor::coo_view(p.coo), p.factors, grid);
   const ParAllModesResult r_csf = par_mttkrp_all_modes(
@@ -324,7 +324,7 @@ TEST(AllModesSparse, SharedGathersBeatPerModeRuns) {
   const std::vector<int> grid{2, 2, 2};
   const ParAllModesResult shared = par_mttkrp_all_modes(
       StoredTensor::coo_view(p.coo), p.factors, grid);
-  Machine separate(8);
+  SimTransport separate(8);
   for (int mode = 0; mode < 3; ++mode) {
     par_mttkrp_stationary(separate, StoredTensor::coo_view(p.coo), p.factors,
                           mode, grid);
@@ -360,16 +360,16 @@ TEST(StationarySparseEdge, RanksWithoutNonzerosContributeZeros) {
 
 TEST(StationarySparseValidation, RejectsBadGrids) {
   const SparseProblem p = make_problem({4, 4, 4}, 2, 0.3, 703);
-  Machine machine(8);
+  SimTransport sim(8);
   const StoredTensor x = StoredTensor::coo_view(p.coo);
   // Wrong dimensionality.
-  EXPECT_THROW(par_mttkrp_stationary(machine, x, p.factors, 0, {2, 4}),
+  EXPECT_THROW(par_mttkrp_stationary(sim, x, p.factors, 0, {2, 4}),
                std::invalid_argument);
   // Product mismatch with machine size.
-  EXPECT_THROW(par_mttkrp_stationary(machine, x, p.factors, 0, {2, 2, 1}),
+  EXPECT_THROW(par_mttkrp_stationary(sim, x, p.factors, 0, {2, 2, 1}),
                std::invalid_argument);
   // Grid extent exceeding a tensor dimension.
-  EXPECT_THROW(par_mttkrp_stationary(machine, x, p.factors, 0, {8, 1, 1}),
+  EXPECT_THROW(par_mttkrp_stationary(sim, x, p.factors, 0, {8, 1, 1}),
                std::invalid_argument);
 }
 

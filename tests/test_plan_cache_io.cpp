@@ -163,10 +163,13 @@ TEST_F(PlanCacheIo, TruncationDegradesToCold) {
   ASSERT_TRUE(cache.save(file.path()));
   const std::string content = slurp(file.path());
 
-  // Chop at several depths: mid-header, mid-entry, and just before the
-  // final end marker. Every truncation must come back cold.
+  // Chop at several depths: mid-header, mid-entry, inside the checksum
+  // trailer, and the whole trailer stripped (an unsealed file). Every
+  // truncation must come back cold.
+  const std::size_t trailer = content.rfind("filesum ");
+  ASSERT_NE(trailer, std::string::npos);
   for (const std::size_t keep :
-       {std::size_t{5}, content.size() / 3, content.size() - 5}) {
+       {std::size_t{5}, content.size() / 3, content.size() - 5, trailer}) {
     spit(file.path(), content.substr(0, keep));
     PlanCache reloaded;
     EXPECT_FALSE(reloaded.load(file.path())) << "kept " << keep << " bytes";

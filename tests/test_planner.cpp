@@ -232,7 +232,7 @@ TEST_F(PredictAgreement, CsfStorageSameCollectiveTraffic) {
 // AND messages must equal the simulator's per-rank counters exactly, for
 // both collective kinds, across stationary/general/all-modes and
 // dense/COO/CSF. Grids mix power-of-two hyperslices (recursive schedules
-// engage) with non-power-of-two ones (the dispatcher falls back to the
+// engage) with non-power-of-two ones (the schedule falls back to the
 // bucket ring, and the predictor must fall back identically).
 TEST_F(PredictAgreement, WordsAndMessagesExactBothKindsAllAlgosAllFormats) {
   const CsfTensor csf = CsfTensor::from_coo(coo_);
@@ -254,9 +254,9 @@ TEST_F(PredictAgreement, WordsAndMessagesExactBothKindsAllAlgosAllFormats) {
           const CommPrediction c = predict_mttkrp_comm(
               p, ParAlgo::kStationary, g, mode,
               SparsePartitionScheme::kBlock, sched);
-          Machine machine(grid_size(g));
+          SimTransport sim(grid_size(g));
           const ParMttkrpResult r = par_mttkrp_stationary(
-              machine, x, factors_, mode, g, sched);
+              sim, x, factors_, mode, g, sched);
           ASSERT_TRUE(c.exact);
           EXPECT_DOUBLE_EQ(c.words, static_cast<double>(r.max_words_moved))
               << name << " stationary " << to_string(kind) << " mode "
@@ -269,9 +269,9 @@ TEST_F(PredictAgreement, WordsAndMessagesExactBothKindsAllAlgosAllFormats) {
         const CommPrediction c = predict_mttkrp_comm(
             p, ParAlgo::kAllModes, g, 0, SparsePartitionScheme::kBlock,
             sched);
-        Machine machine(grid_size(g));
+        SimTransport sim(grid_size(g));
         const ParAllModesResult r =
-            par_mttkrp_all_modes(machine, x, factors_, g, sched);
+            par_mttkrp_all_modes(sim, x, factors_, g, sched);
         EXPECT_DOUBLE_EQ(c.words, static_cast<double>(r.max_words_moved))
             << name << " all-modes " << to_string(kind);
         EXPECT_DOUBLE_EQ(c.messages, static_cast<double>(r.max_messages))
@@ -283,9 +283,9 @@ TEST_F(PredictAgreement, WordsAndMessagesExactBothKindsAllAlgosAllFormats) {
         const CommPrediction c = predict_mttkrp_comm(
             p, ParAlgo::kGeneral, g, 1, SparsePartitionScheme::kBlock,
             sched);
-        Machine machine(grid_size(g));
+        SimTransport sim(grid_size(g));
         const ParMttkrpResult r = par_mttkrp_general(
-            machine, x, factors_, 1, g, sched);
+            sim, x, factors_, 1, g, sched);
         ASSERT_TRUE(c.exact);
         EXPECT_DOUBLE_EQ(c.words, static_cast<double>(r.max_words_moved))
             << name << " general " << to_string(kind);
@@ -310,7 +310,7 @@ TEST_F(PredictAgreement, MixedScheduleExact) {
         SparsePartitionScheme::kMediumGrained}) {
     const CommPrediction stat = predict_mttkrp_comm(
         p, ParAlgo::kStationary, {2, 2, 2}, 0, scheme, sched);
-    Machine ms(8);
+    SimTransport ms(8);
     const ParMttkrpResult rs = par_mttkrp_stationary(
         ms, x, factors_, 0, {2, 2, 2}, sched, scheme);
     EXPECT_DOUBLE_EQ(stat.words, static_cast<double>(rs.max_words_moved));
@@ -318,7 +318,7 @@ TEST_F(PredictAgreement, MixedScheduleExact) {
 
     const CommPrediction gen = predict_mttkrp_comm(
         p, ParAlgo::kGeneral, {2, 2, 1, 3}, 2, scheme, sched);
-    Machine mg(12);
+    SimTransport mg(12);
     const ParMttkrpResult rg = par_mttkrp_general(
         mg, x, factors_, 2, {2, 2, 1, 3}, sched, scheme);
     EXPECT_DOUBLE_EQ(gen.words, static_cast<double>(rg.max_words_moved));

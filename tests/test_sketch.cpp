@@ -503,7 +503,7 @@ TEST(PlannerEpsilon, BudgetSelectsSampledOnLargeNnz) {
 }
 
 // --------------------------------------------------------------------------
-// Plan-cache v2 -> v3 migration.
+// Plan-cache persistence of sampled plans.
 
 class SketchPlanCache : public ::testing::Test {
  protected:
@@ -512,7 +512,7 @@ class SketchPlanCache : public ::testing::Test {
   }
 };
 
-TEST_F(SketchPlanCache, LegacyV2FileMigratesAndV3RoundTrips) {
+TEST_F(SketchPlanCache, SampledPlansRoundTripThroughTheFile) {
   Rng rng(61);
   const SparseTensor coo =
       SparseTensor::random_sparse({24, 18, 14}, 0.04, rng);
@@ -520,42 +520,23 @@ TEST_F(SketchPlanCache, LegacyV2FileMigratesAndV3RoundTrips) {
   opts.procs = 4;
   opts.flop_word_ratio = 1e-2;
 
-  // A v2 file — the pre-sketch layout — written by the versioned save.
-  const std::string v2_path = scratch("sketch_cache_v2.txt");
-  {
-    PlanCache cache;
-    cache.get_or_plan(StoredTensor::coo_view(coo), 4, opts);
-    ASSERT_TRUE(cache.save(v2_path, nullptr, PlanCache::kLegacyFileVersion));
-  }
-  std::ifstream v2_in(v2_path);
-  std::string header;
-  std::getline(v2_in, header);
-  EXPECT_EQ(header, "mtkplancache 2");
-
-  // Migration: the v2 entries load and serve hits for epsilon = 0 queries
-  // (the fingerprint of an exact-execution query is version-stable).
-  PlanCache migrated;
-  ASSERT_TRUE(migrated.load(v2_path));
-  EXPECT_EQ(migrated.size(), 1u);
-  const auto hit = migrated.get_or_plan(StoredTensor::coo_view(coo), 4, opts);
-  EXPECT_EQ(migrated.hits(), 1u);
-  EXPECT_EQ(migrated.misses(), 0u);
-  EXPECT_EQ(hit->best().path, ExecutionPath::kExact);
-
-  // v3 round-trip with a sampled plan in the report: the path, sample
-  // count, and predicted error must all survive the file.
+  // A sampled plan in the report: the path, sample count, and predicted
+  // error must all survive the file, next to an exact-only entry.
+  PlanCache cache;
+  cache.get_or_plan(StoredTensor::coo_view(coo), 4, opts);
   PlannerOptions sketchy = opts;
   sketchy.epsilon = 0.2;
   const auto planned =
-      migrated.get_or_plan(StoredTensor::coo_view(coo), 4, sketchy);
-  const std::string v3_path = scratch("sketch_cache_v3.txt");
-  ASSERT_TRUE(migrated.save(v3_path));
-  std::ifstream v3_in(v3_path);
-  std::getline(v3_in, header);
+      cache.get_or_plan(StoredTensor::coo_view(coo), 4, sketchy);
+  const std::string path = scratch("sketch_cache_v3.txt");
+  ASSERT_TRUE(cache.save(path));
+  std::ifstream in(path);
+  std::string header;
+  std::getline(in, header);
   EXPECT_EQ(header, "mtkplancache 3");
 
   PlanCache reloaded;
-  ASSERT_TRUE(reloaded.load(v3_path));
+  ASSERT_TRUE(reloaded.load(path));
   EXPECT_EQ(reloaded.size(), 2u);
   const auto restored =
       reloaded.get_or_plan(StoredTensor::coo_view(coo), 4, sketchy);

@@ -144,10 +144,12 @@ int main(int argc, char** argv) {
     // Memoized multi-tree all-modes: zero rebuilds after the first call,
     // reuse factor > 1 versus N independent single-tree walks.
     const StoredTensor handle = StoredTensor::coo_view(coo);
+    const Counter& builds =
+        MetricsRegistry::global().counter("mtk.csf.builds");
     const AllModesResult first = mttkrp_all_modes(handle, factors);
-    const index_t builds_after_first = CsfTensor::build_count();
+    const index_t builds_after_first = builds.value();
     const AllModesResult second = mttkrp_all_modes(handle, factors);
-    const index_t rebuilds = CsfTensor::build_count() - builds_after_first;
+    const index_t rebuilds = builds.value() - builds_after_first;
     const CsfSet forest = CsfSet::build(coo, CsfSetPolicy::kOnePerMode);
     const double reuse =
         static_cast<double>(csf_separate_multiply_count(forest, rank)) /
