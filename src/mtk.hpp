@@ -55,6 +55,7 @@
 #include "src/parsim/machine.hpp"
 #include "src/parsim/par_mttkrp.hpp"
 #include "src/parsim/par_multi_mttkrp.hpp"
+#include "src/parsim/phase_plan.hpp"
 #include "src/parsim/schedule.hpp"
 #include "src/parsim/transport/counting_transport.hpp"
 #include "src/parsim/transport/thread_transport.hpp"

@@ -6,23 +6,6 @@
 namespace mtk {
 namespace {
 
-enum class PhaseKind { kTensor, kFactor, kOutput, kGram, kUnknown };
-
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-// Maps the PhaseScope labels the drivers use onto the predictor's four
-// traffic categories. Labels are an API the drivers own; keep this switch
-// in sync when adding phases.
-PhaseKind classify(const std::string& label) {
-  if (starts_with(label, "all-gather X")) return PhaseKind::kTensor;
-  if (starts_with(label, "all-gather A")) return PhaseKind::kFactor;
-  if (starts_with(label, "reduce-scatter B")) return PhaseKind::kOutput;
-  if (starts_with(label, "all-reduce gram")) return PhaseKind::kGram;
-  return PhaseKind::kUnknown;
-}
-
 double drift_pct(double predicted, double actual) {
   if (predicted == actual) return 0.0;
   if (predicted == 0.0) return 100.0;
@@ -53,26 +36,16 @@ DriftReport compute_drift(const Transport& transport,
             "compute_drift: counts must be positive");
   const std::size_t p = static_cast<std::size_t>(transport.num_ranks());
 
-  // Per-rank, per-category accumulation over every recorded phase,
-  // normalized to one sweep so it is comparable to the per-iteration
-  // prediction. Legacy records without per-rank deltas contribute nothing
-  // (all current drivers record them).
-  constexpr int kCategories = 4;  // tensor, factor, output, gram
-  std::vector<double> words(p * kCategories, 0.0);
-  std::vector<double> msgs(p * kCategories, 0.0);
-  int recorded = 0;
+  // Per-rank, per-category accumulation over every recorded phase.
+  TrafficTally tally(transport.num_ranks());
   for (const PhaseRecord& phase : transport.phases()) {
-    const PhaseKind kind = classify(phase.label);
-    if (kind == PhaseKind::kUnknown) continue;
-    if (phase.rank_words.size() != p || phase.rank_messages.size() != p) {
-      continue;
-    }
-    ++recorded;
-    const std::size_t c = static_cast<std::size_t>(kind);
+    MTK_CHECK(phase.rank_words.size() == p && phase.rank_messages.size() == p,
+              "compute_drift: phase '", phase.label,
+              "' carries no per-rank counter deltas");
     for (std::size_t r = 0; r < p; ++r) {
-      words[r * kCategories + c] += static_cast<double>(phase.rank_words[r]);
-      msgs[r * kCategories + c] +=
-          static_cast<double>(phase.rank_messages[r]);
+      tally.add(static_cast<int>(r), phase.category,
+                static_cast<double>(phase.rank_words[r]),
+                static_cast<double>(phase.rank_messages[r]));
     }
   }
 
@@ -81,82 +54,37 @@ DriftReport compute_drift(const Transport& transport,
   // exact quotient whenever it is representable — scaling each phase by a
   // reciprocal instead would smear ~1e-16 of error into the exact-parity
   // comparison.
-  for (std::size_t r = 0; r < p; ++r) {
-    for (int c = 0; c < kCategories; ++c) {
-      const double divisor = c == static_cast<int>(PhaseKind::kGram)
-                                 ? gram_count
-                                 : sweep_count;
-      words[r * kCategories + static_cast<std::size_t>(c)] /= divisor;
-      msgs[r * kCategories + static_cast<std::size_t>(c)] /= divisor;
-    }
+  for (int c = 0; c < kTrafficCategories; ++c) {
+    const auto category = static_cast<TrafficCategory>(c);
+    tally.divide(category, category == TrafficCategory::kGram ? gram_count
+                                                              : sweep_count);
   }
-
-  // Mirror RankAccum::finalize (predict.cpp): the first rank with maximal
-  // total words supplies the breakdown; messages are the max over all ranks.
-  auto total_words = [&](std::size_t r) {
-    double t = 0.0;
-    for (int c = 0; c < kCategories; ++c) t += words[r * kCategories + c];
-    return t;
-  };
-  auto total_msgs = [&](std::size_t r) {
-    double t = 0.0;
-    for (int c = 0; c < kCategories; ++c) t += msgs[r * kCategories + c];
-    return t;
-  };
-  std::size_t best = 0;
-  double max_msgs = p > 0 ? total_msgs(0) : 0.0;
-  for (std::size_t r = 1; r < p; ++r) {
-    if (total_words(r) > total_words(best)) best = r;
-    max_msgs = std::max(max_msgs, total_msgs(r));
-  }
-
-  auto category = [&](PhaseKind kind, double* w, double* m) {
-    const std::size_t c = static_cast<std::size_t>(kind);
-    *w = p > 0 ? words[best * kCategories + c] : 0.0;
-    *m = p > 0 ? msgs[best * kCategories + c] : 0.0;
-  };
+  const CommPrediction actual = tally.bottleneck();
 
   DriftReport report;
-  report.phases_recorded = recorded;
+  report.phases_recorded = static_cast<int>(transport.phases().size());
   report.exact_expected =
       transport.kind() == TransportKind::kSim && predicted.exact;
 
-  struct CatSpec {
-    const char* name;
-    PhaseKind kind;
-    double pred_words;
-    double pred_msgs;
+  const DriftRow rows[] = {
+      {"tensor", predicted.tensor_words, actual.tensor_words,
+       predicted.tensor_messages, actual.tensor_messages},
+      {"factor", predicted.factor_words, actual.factor_words,
+       predicted.factor_messages, actual.factor_messages},
+      {"output", predicted.output_words, actual.output_words,
+       predicted.output_messages, actual.output_messages},
+      {"gram", predicted.gram_words, actual.gram_words,
+       predicted.gram_messages, actual.gram_messages},
   };
-  const CatSpec cats[] = {
-      {"tensor", PhaseKind::kTensor, predicted.tensor_words,
-       predicted.tensor_messages},
-      {"factor", PhaseKind::kFactor, predicted.factor_words,
-       predicted.factor_messages},
-      {"output", PhaseKind::kOutput, predicted.output_words,
-       predicted.output_messages},
-      {"gram", PhaseKind::kGram, predicted.gram_words,
-       predicted.gram_messages},
-  };
-  for (const CatSpec& cat : cats) {
-    DriftRow row;
-    row.phase = cat.name;
-    row.predicted_words = cat.pred_words;
-    row.predicted_messages = cat.pred_msgs;
-    category(cat.kind, &row.actual_words, &row.actual_messages);
+  for (const DriftRow& row : rows) {
     if (row.predicted_words == 0.0 && row.actual_words == 0.0 &&
         row.predicted_messages == 0.0 && row.actual_messages == 0.0) {
       continue;  // phase absent from this run (e.g. no tensor gather)
     }
-    report.rows.push_back(std::move(row));
+    report.rows.push_back(row);
   }
-
-  DriftRow total;
-  total.phase = "total";
-  total.predicted_words = predicted.words;
-  total.predicted_messages = predicted.messages;
-  total.actual_words = p > 0 ? total_words(best) : 0.0;
-  total.actual_messages = max_msgs;
-  report.rows.push_back(std::move(total));
+  report.rows.push_back({"total", predicted.words, actual.words,
+                         predicted.messages, actual.messages});
 
   for (const DriftRow& row : report.rows) {
     report.max_abs_drift_pct =

@@ -7,11 +7,13 @@
 // drift doubles as a live check that the real transport still executes the
 // planned schedules.
 //
-// The comparison mirrors CommPrediction's bottleneck semantics exactly: the
-// word breakdown belongs to the rank with the largest total words moved
-// (first such rank in ascending order), while the message total is the max
-// over all ranks. Anything else would report phantom drift on runs where
-// the word-bottleneck rank is not the message-bottleneck rank.
+// Every recorded phase carries the traffic category of the planned phase it
+// ran (src/parsim/phase_plan.hpp), and its per-rank counter deltas fill the
+// predictor's own TrafficTally, so both sides go through one bottleneck
+// rule: the word breakdown belongs to the rank with the largest total words
+// moved (first such rank in ascending order), while the message total is
+// the max over all ranks. Anything else would report phantom drift on runs
+// where the word-bottleneck rank is not the message-bottleneck rank.
 #pragma once
 
 #include <cstdio>

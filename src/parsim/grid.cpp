@@ -1,6 +1,6 @@
 #include "src/parsim/grid.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace mtk {
 
@@ -79,14 +79,6 @@ std::vector<int> ProcessorGrid::group_fixing(
     group.push_back(rank_of(c));
   }
   return group;
-}
-
-int ProcessorGrid::position_in_group(const std::vector<int>& fixed_dims,
-                                     int rank) const {
-  const std::vector<int> group = group_fixing(fixed_dims, rank);
-  const auto it = std::find(group.begin(), group.end(), rank);
-  MTK_ASSERT(it != group.end(), "rank missing from its own group");
-  return static_cast<int>(it - group.begin());
 }
 
 }  // namespace mtk

@@ -31,9 +31,6 @@ class ProcessorGrid {
   std::vector<int> group_fixing(const std::vector<int>& fixed_dims,
                                 int rank) const;
 
-  // Position of `rank` within group_fixing(fixed_dims, rank).
-  int position_in_group(const std::vector<int>& fixed_dims, int rank) const;
-
  private:
   std::vector<int> shape_;
   int size_ = 1;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/parsim/schedule.hpp"
 #include "src/support/check.hpp"
 #include "src/support/math_util.hpp"
 
@@ -32,12 +33,13 @@ struct CommStats {
 // for the plan-vs-actual drift report (src/obs/drift).
 struct PhaseRecord {
   std::string label;
+  TrafficCategory category = TrafficCategory::kFactor;
   int group_size = 0;
   index_t max_words_one_rank = 0;  // max over group members of sent+received
   // Per-machine-rank deltas over the phase: words moved (sent + received)
-  // and messages sent. Empty in records built by hand; PhaseScope fills
-  // them, and the drift report needs them to reproduce the predictor's
-  // bottleneck-rank semantics.
+  // and messages sent. The phase executors (src/parsim/par_common) record
+  // every phase with both filled; the drift report needs them to reproduce
+  // the predictor's bottleneck-rank semantics.
   std::vector<index_t> rank_words;
   std::vector<index_t> rank_messages;
 };

@@ -32,77 +32,56 @@ Matrix local_sparse_mttkrp(const SparseTensor& block,
   return mttkrp_coo(block, factors, mode, /*parallel=*/false, variant);
 }
 
-PhaseScope::PhaseScope(Transport& transport, std::string label,
-                       int group_size)
-    : transport_(transport),
-      label_(std::move(label)),
-      group_size_(group_size) {
-  const std::size_t p = static_cast<std::size_t>(transport.num_ranks());
-  before_.reserve(p);
-  before_messages_.reserve(p);
-  for (int r = 0; r < transport.num_ranks(); ++r) {
-    before_.push_back(transport.stats(r).words_moved());
-    before_messages_.push_back(transport.stats(r).messages_sent);
+namespace {
+
+// Snapshots per-rank counters around one phase and records it, with the
+// per-rank deltas, on destruction.
+class PhaseScope {
+ public:
+  PhaseScope(Transport& transport, const Phase& phase)
+      : transport_(transport), phase_(phase) {
+    for (int r = 0; r < transport.num_ranks(); ++r) {
+      before_.push_back(transport.stats(r).words_moved());
+      before_messages_.push_back(transport.stats(r).messages_sent);
+    }
   }
+
+  ~PhaseScope() {
+    PhaseRecord record;
+    record.label = phase_.label;
+    record.category = phase_.category;
+    record.group_size = phase_.group_size();
+    const std::size_t p = before_.size();
+    record.rank_words.resize(p);
+    record.rank_messages.resize(p);
+    for (std::size_t r = 0; r < p; ++r) {
+      const CommStats& stats = transport_.stats(static_cast<int>(r));
+      record.rank_words[r] = stats.words_moved() - before_[r];
+      record.rank_messages[r] = stats.messages_sent - before_messages_[r];
+      record.max_words_one_rank =
+          std::max(record.max_words_one_rank, record.rank_words[r]);
+    }
+    transport_.record_phase(std::move(record));
+  }
+
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  Transport& transport_;
+  const Phase& phase_;
+  std::vector<index_t> before_;
+  std::vector<index_t> before_messages_;
+};
+
+void check_payload(const Phase& phase, std::size_t words,
+                   const PlannedGroup& group) {
+  MTK_CHECK(static_cast<index_t>(words) == group.words, "phase '",
+            phase.label, "': payload of ", words, " words, planned ",
+            group.words);
 }
 
-PhaseScope::~PhaseScope() {
-  PhaseRecord record;
-  record.label = label_;
-  record.group_size = group_size_;
-  const std::size_t p = static_cast<std::size_t>(transport_.num_ranks());
-  record.rank_words.resize(p);
-  record.rank_messages.resize(p);
-  for (std::size_t r = 0; r < p; ++r) {
-    const CommStats& stats = transport_.stats(static_cast<int>(r));
-    record.rank_words[r] = stats.words_moved() - before_[r];
-    record.rank_messages[r] = stats.messages_sent - before_messages_[r];
-    record.max_words_one_rank =
-        std::max(record.max_words_one_rank, record.rank_words[r]);
-  }
-  transport_.record_phase(std::move(record));
-}
-
-Matrix distributed_gram(Transport& transport, const Matrix& a,
-                        CollectiveKind kind) {
-  const int p = transport.num_ranks();
-  const index_t r = a.cols();
-  const std::vector<Range> rows = block_partition(a.rows(), p);
-
-  std::vector<std::vector<double>> partials(static_cast<std::size_t>(p));
-  for (int rank = 0; rank < p; ++rank) {
-    // Upper triangle only, then mirrored: products commute exactly, so
-    // this gives the bits of the full R x R accumulation at half the flops.
-    Matrix partial(r, r, 0.0);
-    const Range rg = rows[static_cast<std::size_t>(rank)];
-    gram_upper_accumulate(a, rg.lo, rg.hi, partial.data());
-    mirror_upper(partial);
-    partials[static_cast<std::size_t>(rank)].assign(
-        partial.data(), partial.data() + partial.size());
-  }
-
-  std::vector<int> group(static_cast<std::size_t>(p));
-  for (int rank = 0; rank < p; ++rank) {
-    group[static_cast<std::size_t>(rank)] = rank;
-  }
-  PhaseScope scope(transport, "all-reduce gram", p);
-  const std::vector<double> summed = transport.all_reduce(group, partials, kind);
-
-  Matrix g(r, r);
-  std::copy(summed.begin(), summed.end(), g.data());
-  return g;
-}
-
-std::vector<double> flatten_rows(const Matrix& m, Range rows) {
-  std::vector<double> flat;
-  flat.reserve(static_cast<std::size_t>(rows.length() * m.cols()));
-  for (index_t i = rows.lo; i < rows.hi; ++i) {
-    const double* r = m.row(i);
-    flat.insert(flat.end(), r, r + m.cols());
-  }
-  return flat;
-}
-
+// Row-major words of the submatrix rows x cols of `m`.
 std::vector<double> flatten_submatrix(const Matrix& m, Range rows,
                                       Range cols) {
   std::vector<double> flat;
@@ -114,94 +93,103 @@ std::vector<double> flatten_submatrix(const Matrix& m, Range rows,
   return flat;
 }
 
-Matrix unflatten_matrix(const std::vector<double>& flat, index_t rows,
-                        index_t cols) {
-  MTK_ASSERT(static_cast<index_t>(flat.size()) == rows * cols,
-             "unflatten_matrix: ", flat.size(), " words != ", rows, "x", cols);
-  Matrix m(rows, cols);
-  std::copy(flat.begin(), flat.end(), m.data());
-  return m;
-}
+}  // namespace
 
-std::vector<Matrix> gather_factor_hyperslices(
-    Transport& transport, const ProcessorGrid& grid, const Matrix& factor,
-    const std::vector<Range>& parts, int grid_dim, CollectiveKind collectives,
-    const std::string& label) {
-  const int n = grid.ndims();
-  const int p = grid.size();
-  PhaseScope scope(transport, label, p / grid.extent(grid_dim));
-  std::vector<Matrix> gathered(static_cast<std::size_t>(grid.extent(grid_dim)));
-  for (int c = 0; c < grid.extent(grid_dim); ++c) {
-    // The group is identical for every member; build it from the first rank
-    // with coordinate c on grid_dim.
-    std::vector<int> coords(static_cast<std::size_t>(n), 0);
-    coords[static_cast<std::size_t>(grid_dim)] = c;
-    const int representative = grid.rank_of(coords);
-    const std::vector<int> group = grid.group_fixing({grid_dim}, representative);
-    const int q = static_cast<int>(group.size());
-
-    const Range rows = parts[static_cast<std::size_t>(c)];
-    const std::vector<double> block_row = flatten_rows(factor, rows);
-    const index_t total = static_cast<index_t>(block_row.size());
-
-    // Member i initially owns the i-th flat chunk of the block row
-    // (Section V-C1: "partitioned arbitrarily across the processors in its
-    // hyperslice"; we use balanced contiguous chunks).
+void run_all_gather(
+    Transport& transport, const Phase& phase,
+    const std::function<std::vector<double>(std::size_t)>& block,
+    const std::function<void(std::size_t, std::vector<double>)>& gathered) {
+  MTK_CHECK(phase.op == PhaseOp::kAllGather, "phase '", phase.label,
+            "' is not an All-Gather");
+  PhaseScope scope(transport, phase);
+  for (std::size_t g = 0; g < phase.groups.size(); ++g) {
+    const PlannedGroup& group = phase.groups[g];
+    const std::vector<double> flat = block(g);
+    check_payload(phase, flat.size(), group);
+    const int q = static_cast<int>(group.members.size());
     std::vector<std::vector<double>> contributions(static_cast<std::size_t>(q));
     for (int i = 0; i < q; ++i) {
-      const Range chunk = flat_chunk(total, q, i);
+      const Range chunk = flat_chunk(group.words, q, i);
       contributions[static_cast<std::size_t>(i)].assign(
-          block_row.begin() + chunk.lo, block_row.begin() + chunk.hi);
+          flat.begin() + chunk.lo, flat.begin() + chunk.hi);
     }
-    const std::vector<double> full =
-        transport.all_gather(group, contributions, collectives);
-    gathered[static_cast<std::size_t>(c)] =
-        unflatten_matrix(full, rows.length(), factor.cols());
+    gathered(g, transport.all_gather(group.members, contributions, phase.kind));
   }
-  return gathered;
 }
 
-Matrix reduce_scatter_hyperslices(
-    Transport& transport, const ProcessorGrid& grid,
-    const std::vector<Matrix>& local_c, const std::vector<Range>& parts,
-    int grid_dim, index_t out_rows, index_t rank_r,
-    CollectiveKind collectives, const std::string& label) {
-  const int n = grid.ndims();
-  const int p = grid.size();
-  Matrix b(out_rows, rank_r);
-  PhaseScope scope(transport, label, p / grid.extent(grid_dim));
-  for (int c = 0; c < grid.extent(grid_dim); ++c) {
-    std::vector<int> coords(static_cast<std::size_t>(n), 0);
-    coords[static_cast<std::size_t>(grid_dim)] = c;
-    const int representative = grid.rank_of(coords);
-    const std::vector<int> group = grid.group_fixing({grid_dim}, representative);
-    const int q = static_cast<int>(group.size());
+std::vector<Matrix> gather_blocks(Transport& transport, const Phase& phase,
+                                  const Matrix& factor) {
+  std::vector<Matrix> blocks(phase.groups.size());
+  run_all_gather(
+      transport, phase,
+      [&](std::size_t g) {
+        return flatten_submatrix(factor, phase.groups[g].rows,
+                                 phase.groups[g].cols);
+      },
+      [&](std::size_t g, std::vector<double> full) {
+        Matrix m(phase.groups[g].rows.length(), phase.groups[g].cols.length());
+        std::copy(full.begin(), full.end(), m.data());
+        blocks[g] = std::move(m);
+      });
+  return blocks;
+}
 
-    const Range rows = parts[static_cast<std::size_t>(c)];
-    const index_t total = checked_mul(rows.length(), rank_r);
-
+Matrix reduce_blocks(Transport& transport, const Phase& phase,
+                     const std::function<const Matrix&(int)>& local,
+                     index_t out_rows, index_t out_cols) {
+  MTK_CHECK(phase.op != PhaseOp::kAllGather, "phase '", phase.label,
+            "' is not a reduction");
+  Matrix out(out_rows, out_cols);
+  PhaseScope scope(transport, phase);
+  for (const PlannedGroup& group : phase.groups) {
+    const int q = static_cast<int>(group.members.size());
     std::vector<std::vector<double>> inputs(static_cast<std::size_t>(q));
     for (int i = 0; i < q; ++i) {
-      const Matrix& ci =
-          local_c[static_cast<std::size_t>(group[static_cast<std::size_t>(i)])];
-      inputs[static_cast<std::size_t>(i)] = flatten_rows(ci, Range{0, ci.rows()});
+      const Matrix& m = local(group.members[static_cast<std::size_t>(i)]);
+      inputs[static_cast<std::size_t>(i)].assign(m.data(), m.data() + m.size());
+      check_payload(phase, inputs[static_cast<std::size_t>(i)].size(), group);
     }
-    const std::vector<index_t> chunk_sizes = flat_chunk_sizes(total, q);
-    const auto reduced =
-        transport.reduce_scatter(group, inputs, chunk_sizes, collectives);
-
-    // Member i's chunk covers flat positions [chunk.lo, chunk.hi) of the
-    // row-major flattened block row B(S_c, :).
-    for (int i = 0; i < q; ++i) {
-      const Range chunk = flat_chunk(total, q, i);
-      for (index_t w = 0; w < chunk.length(); ++w) {
-        const index_t flat = chunk.lo + w;
-        b(rows.lo + flat / rank_r, flat % rank_r) =
-            reduced[static_cast<std::size_t>(i)][static_cast<std::size_t>(w)];
+    std::vector<double> sum;
+    if (phase.op == PhaseOp::kAllReduce) {
+      sum = transport.all_reduce(group.members, inputs, phase.kind);
+    } else {
+      for (const std::vector<double>& chunk : transport.reduce_scatter(
+               group.members, inputs, flat_chunk_sizes(group.words, q),
+               phase.kind)) {
+        sum.insert(sum.end(), chunk.begin(), chunk.end());
       }
     }
+    const index_t width = group.cols.length();
+    for (index_t w = 0; w < group.words; ++w) {
+      out(group.rows.lo + w / width, group.cols.lo + w % width) =
+          sum[static_cast<std::size_t>(w)];
+    }
   }
-  return b;
+  return out;
+}
+
+Matrix distributed_gram(Transport& transport, const Matrix& a,
+                        CollectiveKind kind) {
+  const int p = transport.num_ranks();
+  const index_t r = a.cols();
+  const std::vector<Range> rows = block_partition(a.rows(), p);
+
+  std::vector<Matrix> partials(static_cast<std::size_t>(p));
+  for (int rank = 0; rank < p; ++rank) {
+    // Upper triangle only, then mirrored: products commute exactly, so
+    // this gives the bits of the full R x R accumulation at half the flops.
+    Matrix& partial = partials[static_cast<std::size_t>(rank)];
+    partial = Matrix(r, r, 0.0);
+    const Range rg = rows[static_cast<std::size_t>(rank)];
+    gram_upper_accumulate(a, rg.lo, rg.hi, partial.data());
+    mirror_upper(partial);
+  }
+  return reduce_blocks(
+      transport, gram_phase(p, r, kind),
+      [&](int rank) -> const Matrix& {
+        return partials[static_cast<std::size_t>(rank)];
+      },
+      r, r);
 }
 
 }  // namespace mtk

@@ -1,23 +1,21 @@
-// Shared building blocks of the parallel MTTKRP drivers: the phase-counter
-// scope, flat (de)serialization of matrix blocks, and the two hyperslice
-// collectives every algorithm is assembled from — All-Gather of a factor's
-// block rows within the hyperslices normal to one grid dimension, and
-// Reduce-Scatter of per-rank output contributions within those hyperslices.
-// Keeping these here lets the dense and sparse paths (and the single-mode
-// and all-modes drivers) differ only in how the local MTTKRP is computed;
-// the communication — and therefore the word counts — is shared code.
+// Shared building blocks of the parallel MTTKRP drivers: the local sparse
+// kernel, the result telemetry, and the two executors that run a planned
+// phase (src/parsim/phase_plan.hpp) on a transport — All-Gather and
+// Reduce-Scatter. Every driver runs its algorithm's phase plan through
+// them, so the dense and sparse paths (and the single-mode and all-modes
+// drivers) differ only in how the local MTTKRP is computed; the
+// communication — and therefore the word counts — is shared code.
 //
 // Everything is written against the Transport interface (see DESIGN.md), so
 // the same driver code runs on the counting Machine simulator or on real
 // std::thread ranks, depending on which Transport the caller passes.
 #pragma once
 
-#include <string>
+#include <functional>
 #include <vector>
 
 #include "src/mttkrp/dispatch.hpp"
-#include "src/parsim/grid.hpp"
-#include "src/parsim/schedule.hpp"
+#include "src/parsim/phase_plan.hpp"
 #include "src/parsim/transport/transport.hpp"
 #include "src/tensor/block.hpp"
 #include "src/tensor/matrix.hpp"
@@ -43,60 +41,51 @@ Matrix local_sparse_mttkrp(
     StorageFormat format,
     SparseKernelVariant variant = SparseKernelVariant::kAuto);
 
-// Snapshots per-rank counters around one collective phase and records the
-// per-phase bottleneck on destruction.
-class PhaseScope {
- public:
-  PhaseScope(Transport& transport, std::string label, int group_size);
-  ~PhaseScope();
+// Fills the counter and timing fields every parallel driver result carries
+// (ParMttkrpResult, ParAllModesResult) from the transport.
+template <class Result>
+void fill_result_telemetry(const Transport& transport, Result& result) {
+  result.max_words_moved = transport.max_words_moved();
+  result.max_messages = transport.max_messages_sent();
+  result.total_words_sent = transport.total_words_sent();
+  result.phases = transport.phases();
+  result.transport = transport.kind();
+  result.comm_seconds = transport.comm_seconds();
+  result.compute_seconds = transport.compute_seconds();
+}
 
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
+// The phase executors. Each runs one planned phase (src/parsim/
+// phase_plan.hpp) group by group, MTK_CHECKs that every payload the driver
+// supplies has the group's planned word count, and records the phase with
+// its per-rank counter deltas under the plan's label and category.
 
- private:
-  Transport& transport_;
-  std::string label_;
-  int group_size_;
-  std::vector<index_t> before_;
-  std::vector<index_t> before_messages_;
-};
+// All-Gather: block(g) supplies group g's flat block; member i contributes
+// its i-th balanced flat chunk (Section V-C1: the block is "partitioned
+// arbitrarily across the processors in its hyperslice"), and gathered(g,
+// full) receives the concatenation every member ends with.
+void run_all_gather(
+    Transport& transport, const Phase& phase,
+    const std::function<std::vector<double>(std::size_t)>& block,
+    const std::function<void(std::size_t, std::vector<double>)>& gathered);
 
-// Flattens rows [rows.lo, rows.hi) x all columns of `m` (row-major order).
-std::vector<double> flatten_rows(const Matrix& m, Range rows);
+// All-Gather of matrix blocks: element g of the result is
+// factor(rows_g, cols_g), the block group g shares.
+std::vector<Matrix> gather_blocks(Transport& transport, const Phase& phase,
+                                  const Matrix& factor);
 
-// Flattens the submatrix rows x cols of `m` (row-major order).
-std::vector<double> flatten_submatrix(const Matrix& m, Range rows, Range cols);
-
-// Inverse of flatten_rows for a full rows x cols matrix.
-Matrix unflatten_matrix(const std::vector<double>& flat, index_t rows,
-                        index_t cols);
+// Reduce-Scatter (or All-Reduce) of matrix blocks: every member `rank` of
+// group g contributes local(rank), a rows_g x cols_g matrix; the elementwise
+// sum, scattered over the balanced flat chunks, is assembled into
+// out(rows_g, cols_g) of the returned out_rows x out_cols matrix.
+Matrix reduce_blocks(Transport& transport, const Phase& phase,
+                     const std::function<const Matrix&(int)>& local,
+                     index_t out_rows, index_t out_cols);
 
 // Gram of A via per-rank partial Grams over a balanced global row partition
-// and a machine-wide All-Reduce of R^2 words under `kind`; returns the
-// exact Gram and charges the traffic to the transport. Shared by par_cp_als
-// and par_cp_gradient.
+// and the planned machine-wide All-Reduce of R^2 words under `kind`
+// (gram_phase); returns the exact Gram and charges the traffic to the
+// transport. Shared by par_cp_als and par_cp_gradient.
 Matrix distributed_gram(Transport& transport, const Matrix& a,
                         CollectiveKind kind);
-
-// Line 4 of Algorithms 3/4 for one input factor: All-Gathers the block rows
-// A(parts[c], :) within each hyperslice of ranks sharing grid coordinate c
-// on dimension `grid_dim` (member i of a hyperslice initially owns the i-th
-// balanced flat chunk, Section V-C1). Returns the assembled block row per
-// coordinate; records one phase under `label`.
-std::vector<Matrix> gather_factor_hyperslices(
-    Transport& transport, const ProcessorGrid& grid, const Matrix& factor,
-    const std::vector<Range>& parts, int grid_dim, CollectiveKind collectives,
-    const std::string& label);
-
-// Line 7 of Algorithms 3/4: Reduce-Scatters the per-rank contributions
-// local_c (each parts[c].length() x rank_r for the rank's hyperslice
-// coordinate c on `grid_dim`) within each hyperslice, then assembles the
-// distributed chunks into the global out_rows x rank_r output; records one
-// phase under `label`.
-Matrix reduce_scatter_hyperslices(
-    Transport& transport, const ProcessorGrid& grid,
-    const std::vector<Matrix>& local_c, const std::vector<Range>& parts,
-    int grid_dim, index_t out_rows, index_t rank_r,
-    CollectiveKind collectives, const std::string& label);
 
 }  // namespace mtk

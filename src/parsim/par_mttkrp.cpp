@@ -12,19 +12,6 @@ namespace mtk {
 
 namespace {
 
-ParMttkrpResult finalize(Transport& transport, Matrix b) {
-  ParMttkrpResult result;
-  result.b = std::move(b);
-  result.max_words_moved = transport.max_words_moved();
-  result.max_messages = transport.max_messages_sent();
-  result.total_words_sent = transport.total_words_sent();
-  result.phases = transport.phases();
-  result.transport = transport.kind();
-  result.comm_seconds = transport.comm_seconds();
-  result.compute_seconds = transport.compute_seconds();
-  return result;
-}
-
 // Common argument validation for the stationary driver.
 void check_stationary_grid(const StoredTensor& x,
                            const std::vector<int>& grid_shape) {
@@ -58,16 +45,16 @@ ParMttkrpResult stationary_impl(
   MTK_CHECK(transport.num_ranks() == p, "transport has ",
             transport.num_ranks(), " ranks but grid has ", p);
 
+  const PhasePlan plan =
+      stationary_phases(grid, parts, rank_r, mode, collectives);
+
   // Phase 1 (Line 4): All-Gather each input factor's block rows within the
   // hyperslice normal to mode k. gathered[k][c] is the full block row
   // A^(k)(S_c, :) shared by the hyperslice with p_k = c.
   std::vector<std::vector<Matrix>> gathered(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    if (k == mode) continue;
-    gathered[static_cast<std::size_t>(k)] = gather_factor_hyperslices(
-        transport, grid, factors[static_cast<std::size_t>(k)],
-        parts[static_cast<std::size_t>(k)], k, collectives.factor,
-        std::string("all-gather A(") + std::to_string(k) + ")");
+  for (std::size_t i = 0; i + 1 < plan.size(); ++i) {
+    const auto k = static_cast<std::size_t>(plan[i].mode);
+    gathered[k] = gather_blocks(transport, plan[i], factors[k]);
   }
 
   // Phase 2 (Line 6): local MTTKRP on each rank's stationary block — dense
@@ -108,10 +95,15 @@ ParMttkrpResult stationary_impl(
 
   // Phase 3 (Line 7): Reduce-Scatter the contributions within the mode-n
   // hyperslices, then assemble the distributed output into a global B.
-  Matrix b = reduce_scatter_hyperslices(
-      transport, grid, local_c, parts[static_cast<std::size_t>(mode)], mode,
-      x.dim(mode), rank_r, collectives.output, "reduce-scatter B");
-  return finalize(transport, std::move(b));
+  ParMttkrpResult result;
+  result.b = reduce_blocks(
+      transport, plan.back(),
+      [&](int r) -> const Matrix& {
+        return local_c[static_cast<std::size_t>(r)];
+      },
+      x.dim(mode), rank_r);
+  fill_result_telemetry(transport, result);
+  return result;
 }
 
 }  // namespace
@@ -251,44 +243,41 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
     parts = std::move(dist.mode_ranges);
     fiber_blocks = std::move(dist.local);
   }
-  const std::vector<Range> rank_parts = block_partition(rank_r, p0);
+  std::vector<index_t> block_nnz;
+  for (const SparseTensor& block : fiber_blocks) {
+    block_nnz.push_back(block.nnz());
+  }
+  const PhasePlan plan = general_phases(
+      grid, parts, rank_r,
+      tensor_fiber_words(sub_grid, parts, dense ? nullptr : &block_nnz), mode,
+      collectives);
 
   // Phase 0 (Line 3): All-Gather the subtensor across each P0-fiber. Dense
   // blocks travel as flat entries; sparse blocks as (coordinates, value)
   // tuples, N+1 words per nonzero. Every fiber member ends with the full
   // block X(S_{p_1},...,S_{p_N}).
+  const auto fiber_ranges = [&](std::size_t f) {
+    const std::vector<int> sub_coords = sub_grid.coords(static_cast<int>(f));
+    std::vector<Range> ranges(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) {
+      ranges[static_cast<std::size_t>(k)] =
+          parts[static_cast<std::size_t>(k)][static_cast<std::size_t>(
+              sub_coords[static_cast<std::size_t>(k)])];
+    }
+    return ranges;
+  };
   std::vector<DenseTensor> fiber_dense(dense ? static_cast<std::size_t>(fibers)
                                              : 0);
-  {
-    PhaseScope scope(transport, "all-gather X", p0);
-    std::vector<int> tensor_dims_fixed;
-    for (int k = 1; k <= n; ++k) tensor_dims_fixed.push_back(k);
-    for (int f = 0; f < fibers; ++f) {
-      const std::vector<int> sub_coords = sub_grid.coords(f);
-      std::vector<int> coords(static_cast<std::size_t>(n + 1), 0);
-      for (int k = 0; k < n; ++k) {
-        coords[static_cast<std::size_t>(k + 1)] =
-            sub_coords[static_cast<std::size_t>(k)];
-      }
-      const int representative = grid.rank_of(coords);
-      const std::vector<int> group =
-          grid.group_fixing(tensor_dims_fixed, representative);
-      MTK_ASSERT(static_cast<int>(group.size()) == p0,
-                 "fiber group size mismatch");
-
-      std::vector<double> flat;
-      if (dense) {
-        std::vector<Range> ranges(static_cast<std::size_t>(n));
-        for (int k = 0; k < n; ++k) {
-          ranges[static_cast<std::size_t>(k)] =
-              parts[static_cast<std::size_t>(k)][static_cast<std::size_t>(
-                  sub_coords[static_cast<std::size_t>(k)])];
+  run_all_gather(
+      transport, plan.front(),
+      [&](std::size_t f) {
+        std::vector<double> flat;
+        if (dense) {
+          const DenseTensor sub = extract_block(x.as_dense(), fiber_ranges(f));
+          flat.assign(sub.data(), sub.data() + sub.size());
+          return flat;
         }
-        const DenseTensor sub = extract_block(x.as_dense(), ranges);
-        flat.assign(sub.data(), sub.data() + sub.size());
-      } else {
-        const SparseTensor& block =
-            fiber_blocks[static_cast<std::size_t>(f)];
+        const SparseTensor& block = fiber_blocks[f];
         flat.reserve(static_cast<std::size_t>(
             block.nnz() * static_cast<index_t>(n + 1)));
         for (index_t q = 0; q < block.nnz(); ++q) {
@@ -297,36 +286,21 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
           }
           flat.push_back(block.value(q));
         }
-      }
-      const index_t total = static_cast<index_t>(flat.size());
-
-      std::vector<std::vector<double>> contributions(
-          static_cast<std::size_t>(p0));
-      for (int i = 0; i < p0; ++i) {
-        const Range chunk = flat_chunk(total, p0, i);
-        contributions[static_cast<std::size_t>(i)].assign(
-            flat.begin() + chunk.lo, flat.begin() + chunk.hi);
-      }
-      const std::vector<double> full =
-          transport.all_gather(group, contributions, collectives.tensor);
-      if (dense) {
-        shape_t sub_dims;
-        for (int k = 0; k < n; ++k) {
-          sub_dims.push_back(
-              parts[static_cast<std::size_t>(k)]
-                   [static_cast<std::size_t>(
-                        sub_coords[static_cast<std::size_t>(k)])]
-                  .length());
+        return flat;
+      },
+      [&](std::size_t f, std::vector<double> full) {
+        if (dense) {
+          shape_t sub_dims;
+          for (const Range& r : fiber_ranges(f)) sub_dims.push_back(r.length());
+          DenseTensor assembled(sub_dims);
+          std::copy(full.begin(), full.end(), assembled.data());
+          fiber_dense[f] = std::move(assembled);
+          return;
         }
-        DenseTensor assembled(sub_dims);
-        std::copy(full.begin(), full.end(), assembled.data());
-        fiber_dense[static_cast<std::size_t>(f)] = std::move(assembled);
-      } else {
         // Reassemble the block from the collective's output (replacing the
         // locally partitioned copy) so the gathered data — not just the
         // counters — feeds the local compute below.
-        SparseTensor assembled(
-            fiber_blocks[static_cast<std::size_t>(f)].dims());
+        SparseTensor assembled(fiber_blocks[f].dims());
         multi_index_t idx(static_cast<std::size_t>(n));
         for (std::size_t w = 0; w + n < full.size();
              w += static_cast<std::size_t>(n + 1)) {
@@ -337,55 +311,16 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
           assembled.push_back(idx, full[w + static_cast<std::size_t>(n)]);
         }
         assembled.sort_and_dedup();
-        fiber_blocks[static_cast<std::size_t>(f)] = std::move(assembled);
-      }
-    }
-  }
+        fiber_blocks[f] = std::move(assembled);
+      });
 
   // Phase 1 (Line 5): All-Gather factor submatrices A^(k)(S_pk, T_p0)
-  // within the groups fixing (p_0, p_k).
-  // gathered[k][c0][ck] is shared by all ranks with p_0 = c0 and p_k = ck.
-  std::vector<std::vector<std::vector<Matrix>>> gathered(
-      static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    if (k == mode) continue;
-    PhaseScope scope(transport, std::string("all-gather A(") +
-                                    std::to_string(k) + ")",
-                     p / (p0 * grid.extent(k + 1)));
-    gathered[static_cast<std::size_t>(k)].assign(
-        static_cast<std::size_t>(p0),
-        std::vector<Matrix>(static_cast<std::size_t>(grid.extent(k + 1))));
-    for (int c0 = 0; c0 < p0; ++c0) {
-      for (int ck = 0; ck < grid.extent(k + 1); ++ck) {
-        std::vector<int> coords(static_cast<std::size_t>(n + 1), 0);
-        coords[0] = c0;
-        coords[static_cast<std::size_t>(k + 1)] = ck;
-        const int representative = grid.rank_of(coords);
-        const std::vector<int> group =
-            grid.group_fixing({0, k + 1}, representative);
-        const int q = static_cast<int>(group.size());
-
-        const Range rows =
-            parts[static_cast<std::size_t>(k)][static_cast<std::size_t>(ck)];
-        const Range cols = rank_parts[static_cast<std::size_t>(c0)];
-        const std::vector<double> block = flatten_submatrix(
-            factors[static_cast<std::size_t>(k)], rows, cols);
-        const index_t total = static_cast<index_t>(block.size());
-
-        std::vector<std::vector<double>> contributions(
-            static_cast<std::size_t>(q));
-        for (int i = 0; i < q; ++i) {
-          const Range chunk = flat_chunk(total, q, i);
-          contributions[static_cast<std::size_t>(i)].assign(
-              block.begin() + chunk.lo, block.begin() + chunk.hi);
-        }
-        const std::vector<double> full =
-            transport.all_gather(group, contributions, collectives.factor);
-        gathered[static_cast<std::size_t>(k)][static_cast<std::size_t>(c0)]
-                [static_cast<std::size_t>(ck)] =
-                    unflatten_matrix(full, rows.length(), cols.length());
-      }
-    }
+  // within the groups fixing (p_0, p_k). gathered[k][ck + P_k * c0] is
+  // shared by all ranks with p_0 = c0 and p_k = ck.
+  std::vector<std::vector<Matrix>> gathered(static_cast<std::size_t>(n));
+  for (std::size_t i = 1; i + 1 < plan.size(); ++i) {
+    const auto k = static_cast<std::size_t>(plan[i].mode);
+    gathered[k] = gather_blocks(transport, plan[i], factors[k]);
   }
 
   // Phase 2 (Line 7): local MTTKRP per rank on the fiber-shared block with
@@ -411,8 +346,9 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
     for (int k = 0; k < n; ++k) {
       if (k == mode) continue;
       local_factors[static_cast<std::size_t>(k)] =
-          gathered[static_cast<std::size_t>(k)][static_cast<std::size_t>(c0)]
-                  [static_cast<std::size_t>(coords[static_cast<std::size_t>(k + 1)])];
+          gathered[static_cast<std::size_t>(k)][static_cast<std::size_t>(
+              coords[static_cast<std::size_t>(k + 1)] +
+              grid.extent(k + 1) * c0)];
     }
     if (dense) {
       local_c[static_cast<std::size_t>(r)] =
@@ -431,49 +367,15 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
 
   // Phase 3 (Line 8): Reduce-Scatter within groups fixing (p_0, p_n), then
   // assemble the global B from the distributed chunks.
-  Matrix b(x.dim(mode), rank_r);
-  {
-    PhaseScope scope(transport, "reduce-scatter B",
-                     p / (p0 * grid.extent(mode + 1)));
-    for (int c0 = 0; c0 < p0; ++c0) {
-      for (int cn = 0; cn < grid.extent(mode + 1); ++cn) {
-        std::vector<int> coords(static_cast<std::size_t>(n + 1), 0);
-        coords[0] = c0;
-        coords[static_cast<std::size_t>(mode + 1)] = cn;
-        const int representative = grid.rank_of(coords);
-        const std::vector<int> group =
-            grid.group_fixing({0, mode + 1}, representative);
-        const int q = static_cast<int>(group.size());
-
-        const Range rows =
-            parts[static_cast<std::size_t>(mode)][static_cast<std::size_t>(cn)];
-        const Range cols = rank_parts[static_cast<std::size_t>(c0)];
-        const index_t total = checked_mul(rows.length(), cols.length());
-
-        std::vector<std::vector<double>> inputs(static_cast<std::size_t>(q));
-        for (int i = 0; i < q; ++i) {
-          const Matrix& ci = local_c[static_cast<std::size_t>(
-              group[static_cast<std::size_t>(i)])];
-          inputs[static_cast<std::size_t>(i)] =
-              flatten_rows(ci, Range{0, ci.rows()});
-        }
-        const std::vector<index_t> chunk_sizes = flat_chunk_sizes(total, q);
-        const auto reduced = transport.reduce_scatter(
-            group, inputs, chunk_sizes, collectives.output);
-
-        for (int i = 0; i < q; ++i) {
-          const Range chunk = flat_chunk(total, q, i);
-          for (index_t w = 0; w < chunk.length(); ++w) {
-            const index_t flat = chunk.lo + w;
-            b(rows.lo + flat / cols.length(),
-              cols.lo + flat % cols.length()) =
-                reduced[static_cast<std::size_t>(i)][static_cast<std::size_t>(w)];
-          }
-        }
-      }
-    }
-  }
-  return finalize(transport, std::move(b));
+  ParMttkrpResult result;
+  result.b = reduce_blocks(
+      transport, plan.back(),
+      [&](int r) -> const Matrix& {
+        return local_c[static_cast<std::size_t>(r)];
+      },
+      x.dim(mode), rank_r);
+  fill_result_telemetry(transport, result);
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -81,14 +81,15 @@ ParAllModesResult all_modes_impl(Transport& transport, const StoredTensor& x,
             transport.num_ranks(), " ranks but grid has ", p);
   const bool dense = local_blocks == nullptr;
 
+  const PhasePlan plan = all_modes_phases(grid, parts, rank, collectives);
+
   // Phase 1: one All-Gather per mode — every factor's block rows are
   // gathered once and reused by all N local MTTKRPs.
   std::vector<std::vector<Matrix>> gathered(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
-    gathered[static_cast<std::size_t>(k)] = gather_factor_hyperslices(
-        transport, grid, factors[static_cast<std::size_t>(k)],
-        parts[static_cast<std::size_t>(k)], k, collectives.factor,
-        std::string("all-gather A(") + std::to_string(k) + ") [shared]");
+    gathered[static_cast<std::size_t>(k)] =
+        gather_blocks(transport, plan[static_cast<std::size_t>(k)],
+                      factors[static_cast<std::size_t>(k)]);
   }
 
   // Phase 2: one local pass per rank computes all N contributions at once —
@@ -125,27 +126,16 @@ ParAllModesResult all_modes_impl(Transport& transport, const StoredTensor& x,
 
   // Phase 3: one Reduce-Scatter per mode.
   ParAllModesResult result;
-  result.outputs.assign(static_cast<std::size_t>(n), Matrix());
-  std::vector<Matrix> local_c(static_cast<std::size_t>(p));
   for (int mode = 0; mode < n; ++mode) {
-    for (int r = 0; r < p; ++r) {
-      local_c[static_cast<std::size_t>(r)] = std::move(
-          local[static_cast<std::size_t>(r)][static_cast<std::size_t>(mode)]);
-    }
-    result.outputs[static_cast<std::size_t>(mode)] =
-        reduce_scatter_hyperslices(
-            transport, grid, local_c, parts[static_cast<std::size_t>(mode)],
-            mode, x.dim(mode), rank, collectives.output,
-            std::string("reduce-scatter B(") + std::to_string(mode) + ")");
+    const auto m = static_cast<std::size_t>(mode);
+    result.outputs.push_back(reduce_blocks(
+        transport, plan[static_cast<std::size_t>(n) + m],
+        [&](int r) -> const Matrix& {
+          return local[static_cast<std::size_t>(r)][m];
+        },
+        x.dim(mode), rank));
   }
-
-  result.max_words_moved = transport.max_words_moved();
-  result.max_messages = transport.max_messages_sent();
-  result.total_words_sent = transport.total_words_sent();
-  result.phases = transport.phases();
-  result.transport = transport.kind();
-  result.comm_seconds = transport.comm_seconds();
-  result.compute_seconds = transport.compute_seconds();
+  fill_result_telemetry(transport, result);
   return result;
 }
 

@@ -70,6 +70,12 @@ struct CollectiveSchedule {
 // Compact "tensor/factor/output/gram" rendering, e.g. "bucket/rec/rec/bucket".
 std::string to_string(const CollectiveSchedule& schedule);
 
+// The traffic a phase carries, one per CollectiveSchedule field: the
+// predictor, the recorded phases and the drift report break words and
+// messages down by it.
+enum class TrafficCategory { kTensor, kFactor, kOutput, kGram };
+inline constexpr int kTrafficCategories = 4;
+
 enum class CollectiveOp { kAllGather, kReduceScatter };
 
 // Chunks [first, first + count), in group-position order.

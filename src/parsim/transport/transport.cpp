@@ -170,11 +170,6 @@ index_t Transport::total_words_sent() const {
   return total;
 }
 
-SimTransport::SimTransport(Machine& machine) : machine_(&machine) {}
-
-SimTransport::SimTransport(int num_ranks)
-    : owned_(std::make_unique<Machine>(num_ranks)), machine_(owned_.get()) {}
-
 std::vector<double> SimTransport::do_all_gather(
     const std::vector<int>& group,
     const std::vector<std::vector<double>>& contributions,
@@ -186,7 +181,7 @@ std::vector<double> SimTransport::do_all_gather(
   for (int round = 0; round < c.rounds(); ++round) {
     for (int pos = 0; pos < c.q; ++pos) {
       const CollectiveStep s = c.step(pos, round);
-      machine_->record_send(
+      machine_.record_send(
           group[static_cast<std::size_t>(pos)],
           group[static_cast<std::size_t>(s.send_to)],
           offsets[static_cast<std::size_t>(s.send.end())] -
@@ -219,7 +214,7 @@ std::vector<std::vector<double>> SimTransport::do_reduce_scatter(
       const CollectiveStep s = c.step(pos, round);
       std::vector<double>& payload = in_flight[static_cast<std::size_t>(pos)];
       payload = members[static_cast<std::size_t>(pos)].take(s.send);
-      machine_->record_send(group[static_cast<std::size_t>(pos)],
+      machine_.record_send(group[static_cast<std::size_t>(pos)],
                             group[static_cast<std::size_t>(s.send_to)],
                             static_cast<index_t>(payload.size()));
     }
@@ -238,7 +233,7 @@ std::vector<std::vector<double>> SimTransport::do_reduce_scatter(
 }
 
 void SimTransport::do_run_ranks(const std::function<void(int)>& body) {
-  const int p = machine_->num_ranks();
+  const int p = machine_.num_ranks();
 #pragma omp parallel for schedule(dynamic)
   for (int r = 0; r < p; ++r) {
     // Tag the worker thread so spans opened inside the body land on rank

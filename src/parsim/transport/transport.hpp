@@ -150,29 +150,27 @@ class Transport {
 // the orchestrator and charges each send to the Machine. All-Gather members
 // all end with the same concatenation, so it is built once and only the
 // steps are counted; Reduce-Scatter partials are moved between members and
-// accumulated in place (ReduceScatterMember). Borrows the caller's Machine
-// or owns a fresh one.
+// accumulated in place (ReduceScatterMember).
 class SimTransport final : public Transport {
  public:
-  explicit SimTransport(Machine& machine);
-  explicit SimTransport(int num_ranks);
+  explicit SimTransport(int num_ranks) : machine_(num_ranks) {}
 
   TransportKind kind() const override { return TransportKind::kSim; }
-  int num_ranks() const override { return machine_->num_ranks(); }
+  int num_ranks() const override { return machine_.num_ranks(); }
 
   const CommStats& stats(int rank) const override {
-    return machine_->stats(rank);
+    return machine_.stats(rank);
   }
-  void reset_stats() override { machine_->reset_stats(); }
+  void reset_stats() override { machine_.reset_stats(); }
   void record_phase(PhaseRecord record) override {
-    machine_->record_phase(std::move(record));
+    machine_.record_phase(std::move(record));
   }
   const std::vector<PhaseRecord>& phases() const override {
-    return machine_->phases();
+    return machine_.phases();
   }
 
-  Machine& machine() { return *machine_; }
-  const Machine& machine() const { return *machine_; }
+  Machine& machine() { return machine_; }
+  const Machine& machine() const { return machine_; }
 
  protected:
   std::vector<double> do_all_gather(
@@ -186,8 +184,7 @@ class SimTransport final : public Transport {
   void do_run_ranks(const std::function<void(int)>& body) override;
 
  private:
-  std::unique_ptr<Machine> owned_;
-  Machine* machine_;
+  Machine machine_;
 };
 
 // Factory used by the drivers' TransportKind plumbing (par_cp_als,

@@ -1,11 +1,10 @@
 #include "src/planner/predict.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/costmodel/grid_search.hpp"
-#include "src/parsim/grid.hpp"
 #include "src/parsim/par_common.hpp"
+#include "src/parsim/phase_plan.hpp"
 #include "src/support/check.hpp"
 #include "src/support/math_util.hpp"
 
@@ -22,82 +21,24 @@ const char* to_string(ParAlgo algo) {
 
 namespace {
 
-// Per-rank accumulators for one replayed schedule; the bottleneck rank (by
-// total words) supplies the reported word breakdown, while the message
-// bottleneck is the max over all ranks (the two can differ when a rank
-// sits in small-word, many-round groups).
-struct RankAccum {
-  std::vector<double> tensor, factor, output, gram;
-  std::vector<double> tensor_m, factor_m, output_m, gram_m;
-
-  explicit RankAccum(int p)
-      : tensor(static_cast<std::size_t>(p), 0.0),
-        factor(static_cast<std::size_t>(p), 0.0),
-        output(static_cast<std::size_t>(p), 0.0),
-        gram(static_cast<std::size_t>(p), 0.0),
-        tensor_m(static_cast<std::size_t>(p), 0.0),
-        factor_m(static_cast<std::size_t>(p), 0.0),
-        output_m(static_cast<std::size_t>(p), 0.0),
-        gram_m(static_cast<std::size_t>(p), 0.0) {}
-
-  double total(std::size_t r) const {
-    return tensor[r] + factor[r] + output[r] + gram[r];
-  }
-  double total_msgs(std::size_t r) const {
-    return tensor_m[r] + factor_m[r] + output_m[r] + gram_m[r];
-  }
-
-  CommPrediction finalize() const {
-    std::size_t best = 0;
-    double max_msgs = total_msgs(0);
-    for (std::size_t r = 1; r < tensor.size(); ++r) {
-      if (total(r) > total(best)) best = r;
-      max_msgs = std::max(max_msgs, total_msgs(r));
+// The per-rank replay: every member of every planned group, tallied with
+// the traffic of its position.
+CommPrediction tally_plan(int num_ranks, const PhasePlan& plan) {
+  TrafficTally tally(num_ranks);
+  for (const Phase& phase : plan) {
+    for (const PlannedGroup& group : phase.groups) {
+      for (std::size_t pos = 0; pos < group.members.size(); ++pos) {
+        const MemberTraffic t =
+            phase_member_traffic(phase, group, static_cast<int>(pos));
+        tally.add(group.members[pos], phase.category,
+                  static_cast<double>(t.words_sent + t.words_received),
+                  static_cast<double>(t.messages));
+      }
     }
-    CommPrediction c;
-    c.words = total(best);
-    c.messages = max_msgs;
-    c.tensor_words = tensor[best];
-    c.factor_words = factor[best];
-    c.output_words = output[best];
-    c.gram_words = gram[best];
-    c.tensor_messages = tensor_m[best];
-    c.factor_messages = factor_m[best];
-    c.output_messages = output_m[best];
-    c.gram_messages = gram_m[best];
-    c.exact = true;
-    return c;
   }
-};
-
-// Words moved (sent + received) and messages sent by one group position in
-// one collective on balanced flat chunks, under the schedule the transports
-// run (schedule.hpp decides the algorithm and its fallback).
-struct Moved {
-  double words = 0.0;
-  double msgs = 0.0;
-};
-
-Moved member_moved(CollectiveOp op, index_t w, int q, int pos,
-                   CollectiveKind kind) {
-  const MemberTraffic t = flat_member_traffic(op, kind, w, q, pos);
-  return {static_cast<double>(t.words_sent + t.words_received),
-          static_cast<double>(t.messages)};
-}
-
-// Position of a rank within group_fixing(fixed, rank): column-major
-// linearization of its varying coordinates (first varying dimension
-// fastest), mirroring ProcessorGrid::group_fixing's enumeration.
-int group_position(const ProcessorGrid& grid, const std::vector<int>& coords,
-                   const std::vector<bool>& fixed) {
-  int pos = 0;
-  int stride = 1;
-  for (int k = 0; k < grid.ndims(); ++k) {
-    if (fixed[static_cast<std::size_t>(k)]) continue;
-    pos += coords[static_cast<std::size_t>(k)] * stride;
-    stride *= grid.extent(k);
-  }
-  return pos;
+  CommPrediction c = tally.bottleneck();
+  c.exact = true;
+  return c;
 }
 
 void check_problem(const PredictProblem& p) {
@@ -129,116 +70,6 @@ std::vector<std::vector<Range>> planned_partitions(
     return parts;
   }
   return sparse_mode_partitions(*p.coo, extents, scheme);
-}
-
-// Algorithm 3 / all-modes replay on an N-way grid. For kStationary only the
-// non-output factors are gathered and only the output mode is
-// reduce-scattered; the all-modes driver gathers every factor once and
-// reduce-scatters every mode.
-void accumulate_stationary(RankAccum& acc, const ProcessorGrid& grid,
-                           const std::vector<std::vector<Range>>& parts,
-                           index_t rank_r, int mode, bool all_modes,
-                           const CollectiveSchedule& sched) {
-  const int n = grid.ndims();
-  const int p = grid.size();
-  std::vector<bool> fixed(static_cast<std::size_t>(n), false);
-  for (int r = 0; r < p; ++r) {
-    const std::vector<int> coords = grid.coords(r);
-    for (int k = 0; k < n; ++k) {
-      const int q = p / grid.extent(k);
-      fixed.assign(static_cast<std::size_t>(n), false);
-      fixed[static_cast<std::size_t>(k)] = true;
-      const int pos = group_position(grid, coords, fixed);
-      const index_t w = checked_mul(
-          parts[static_cast<std::size_t>(k)]
-               [static_cast<std::size_t>(coords[static_cast<std::size_t>(k)])]
-                   .length(),
-          rank_r);
-      if (all_modes || k != mode) {
-        const Moved m =
-            member_moved(CollectiveOp::kAllGather, w, q, pos, sched.factor);
-        acc.factor[static_cast<std::size_t>(r)] += m.words;
-        acc.factor_m[static_cast<std::size_t>(r)] += m.msgs;
-      }
-      if (all_modes || k == mode) {
-        const Moved m = member_moved(CollectiveOp::kReduceScatter, w, q,
-                                     pos, sched.output);
-        acc.output[static_cast<std::size_t>(r)] += m.words;
-        acc.output_m[static_cast<std::size_t>(r)] += m.msgs;
-      }
-    }
-  }
-}
-
-// Algorithm 4 replay on an (N+1)-way grid. fiber_words[f] is the tensor
-// All-Gather payload of P0-fiber f (dense block entries, or N+1 words per
-// nonzero for sparse storage).
-void accumulate_general(RankAccum& acc, const ProcessorGrid& grid,
-                        const ProcessorGrid& sub_grid,
-                        const std::vector<std::vector<Range>>& parts,
-                        const std::vector<Range>& rank_parts,
-                        const std::vector<index_t>& fiber_words, int mode,
-                        const CollectiveSchedule& sched) {
-  const int n = grid.ndims() - 1;
-  const int p = grid.size();
-  const int p0 = grid.extent(0);
-  std::vector<bool> fixed(static_cast<std::size_t>(n + 1), false);
-  for (int r = 0; r < p; ++r) {
-    const std::vector<int> coords = grid.coords(r);
-    const std::vector<int> sub_coords(coords.begin() + 1, coords.end());
-    const int fiber = sub_grid.rank_of(sub_coords);
-    const int c0 = coords[0];
-
-    // Phase 0: tensor All-Gather across the P0-fiber (varying dim 0 only,
-    // so the group position is the rank's own c0 coordinate).
-    {
-      const Moved m = member_moved(
-          CollectiveOp::kAllGather,
-          fiber_words[static_cast<std::size_t>(fiber)], p0, c0, sched.tensor);
-      acc.tensor[static_cast<std::size_t>(r)] += m.words;
-      acc.tensor_m[static_cast<std::size_t>(r)] += m.msgs;
-    }
-
-    for (int k = 0; k < n; ++k) {
-      const int q = p / (p0 * grid.extent(k + 1));
-      fixed.assign(static_cast<std::size_t>(n + 1), false);
-      fixed[0] = true;
-      fixed[static_cast<std::size_t>(k + 1)] = true;
-      const int pos = group_position(grid, coords, fixed);
-      const index_t w = checked_mul(
-          parts[static_cast<std::size_t>(k)]
-               [static_cast<std::size_t>(
-                    coords[static_cast<std::size_t>(k + 1)])]
-                   .length(),
-          rank_parts[static_cast<std::size_t>(c0)].length());
-      if (k != mode) {
-        const Moved m =
-            member_moved(CollectiveOp::kAllGather, w, q, pos, sched.factor);
-        acc.factor[static_cast<std::size_t>(r)] += m.words;
-        acc.factor_m[static_cast<std::size_t>(r)] += m.msgs;
-      } else {
-        const Moved m = member_moved(CollectiveOp::kReduceScatter, w, q,
-                                     pos, sched.output);
-        acc.output[static_cast<std::size_t>(r)] += m.words;
-        acc.output_m[static_cast<std::size_t>(r)] += m.msgs;
-      }
-    }
-  }
-}
-
-// Machine-wide Gram All-Reduce of R^2 words (distributed_gram's
-// Reduce-Scatter + All-Gather over all P ranks in rank order; each stage
-// resolves its own schedule, as Transport::all_reduce does).
-void accumulate_gram(RankAccum& acc, int p, index_t r_squared,
-                     const CollectiveSchedule& sched) {
-  for (int r = 0; r < p; ++r) {
-    const Moved rs = member_moved(CollectiveOp::kReduceScatter, r_squared, p,
-                                  r, sched.gram);
-    const Moved ag =
-        member_moved(CollectiveOp::kAllGather, r_squared, p, r, sched.gram);
-    acc.gram[static_cast<std::size_t>(r)] += rs.words + ag.words;
-    acc.gram_m[static_cast<std::size_t>(r)] += rs.msgs + ag.msgs;
-  }
 }
 
 // Balanced closed-form estimates (sent+received = 2x the Eq. (14)/(18)
@@ -381,40 +212,18 @@ CommPrediction predict_mttkrp_comm(const PredictProblem& p, ParAlgo algo,
       return closed_general(p, grid, mode, collectives);
     }
 
-    const ProcessorGrid pgrid(grid);
     const ProcessorGrid sub_grid(sub_shape);
     const std::vector<std::vector<Range>> parts =
         planned_partitions(p, sub_shape, scheme);
-    const std::vector<Range> rank_parts = block_partition(p.rank, grid[0]);
-
-    std::vector<index_t> fiber_words(
-        static_cast<std::size_t>(sub_grid.size()));
-    if (p.format == StorageFormat::kDense) {
-      for (int f = 0; f < sub_grid.size(); ++f) {
-        const std::vector<int> c = sub_grid.coords(f);
-        index_t block = 1;
-        for (int k = 0; k < n; ++k) {
-          block = checked_mul(
-              block, parts[static_cast<std::size_t>(k)]
-                          [static_cast<std::size_t>(
-                               c[static_cast<std::size_t>(k)])]
-                         .length());
-        }
-        fiber_words[static_cast<std::size_t>(f)] = block;
-      }
-    } else {
-      const BlockNnzStats stats = count_block_nnz(*p.coo, sub_grid, parts);
-      for (int f = 0; f < sub_grid.size(); ++f) {
-        fiber_words[static_cast<std::size_t>(f)] = checked_mul(
-            stats.per_block[static_cast<std::size_t>(f)],
-            static_cast<index_t>(n + 1));
-      }
-    }
-
-    RankAccum acc(pgrid.size());
-    accumulate_general(acc, pgrid, sub_grid, parts, rank_parts, fiber_words,
-                       mode, collectives);
-    return acc.finalize();
+    std::vector<index_t> block_nnz;
+    if (sparse) block_nnz = count_block_nnz(*p.coo, sub_grid, parts).per_block;
+    const ProcessorGrid pgrid(grid);
+    return tally_plan(
+        pgrid.size(),
+        general_phases(pgrid, parts, p.rank,
+                       tensor_fiber_words(sub_grid, parts,
+                                          sparse ? &block_nnz : nullptr),
+                       mode, collectives));
   }
 
   check_n_way_grid(p, grid);
@@ -428,10 +237,10 @@ CommPrediction predict_mttkrp_comm(const PredictProblem& p, ParAlgo algo,
   const ProcessorGrid pgrid(grid);
   const std::vector<std::vector<Range>> parts =
       planned_partitions(p, grid, scheme);
-  RankAccum acc(pgrid.size());
-  accumulate_stationary(acc, pgrid, parts, p.rank, mode, all_modes,
-                        collectives);
-  return acc.finalize();
+  return tally_plan(
+      pgrid.size(),
+      all_modes ? all_modes_phases(pgrid, parts, p.rank, collectives)
+                : stationary_phases(pgrid, parts, p.rank, mode, collectives));
 }
 
 CommPrediction predict_cp_als_iteration(const PredictProblem& p,
@@ -473,13 +282,68 @@ CommPrediction predict_cp_als_iteration(const PredictProblem& p,
   const ProcessorGrid pgrid(grid);
   const std::vector<std::vector<Range>> parts =
       planned_partitions(p, grid, scheme);
-  RankAccum acc(pgrid.size());
+  PhasePlan plan;
   for (int mode = 0; mode < n; ++mode) {
-    accumulate_stationary(acc, pgrid, parts, p.rank, mode, false,
-                          collectives);
-    accumulate_gram(acc, pgrid.size(), r_squared, collectives);
+    for (Phase& phase :
+         stationary_phases(pgrid, parts, p.rank, mode, collectives)) {
+      plan.push_back(std::move(phase));
+    }
+    plan.push_back(gram_phase(pgrid.size(), p.rank, collectives.gram));
   }
-  return acc.finalize();
+  return tally_plan(pgrid.size(), plan);
+}
+
+TrafficTally::TrafficTally(int num_ranks)
+    : words_(static_cast<std::size_t>(num_ranks) * kTrafficCategories, 0.0),
+      messages_(words_.size(), 0.0) {
+  MTK_CHECK(num_ranks >= 1, "traffic tally needs at least one rank");
+}
+
+void TrafficTally::add(int rank, TrafficCategory category, double words,
+                       double messages) {
+  const std::size_t i = slot(static_cast<std::size_t>(rank), category);
+  words_[i] += words;
+  messages_[i] += messages;
+}
+
+void TrafficTally::divide(TrafficCategory category, double divisor) {
+  for (std::size_t r = 0; r * kTrafficCategories < words_.size(); ++r) {
+    words_[slot(r, category)] /= divisor;
+    messages_[slot(r, category)] /= divisor;
+  }
+}
+
+CommPrediction TrafficTally::bottleneck() const {
+  const auto total = [](const std::vector<double>& v, std::size_t r) {
+    double t = 0.0;
+    for (int c = 0; c < kTrafficCategories; ++c) {
+      t += v[slot(r, static_cast<TrafficCategory>(c))];
+    }
+    return t;
+  };
+  const std::size_t ranks = words_.size() / kTrafficCategories;
+  std::size_t best = 0;
+  double max_messages = total(messages_, 0);
+  for (std::size_t r = 1; r < ranks; ++r) {
+    if (total(words_, r) > total(words_, best)) best = r;
+    max_messages = std::max(max_messages, total(messages_, r));
+  }
+  const auto words = [&](TrafficCategory c) { return words_[slot(best, c)]; };
+  const auto messages = [&](TrafficCategory c) {
+    return messages_[slot(best, c)];
+  };
+  CommPrediction c;
+  c.words = total(words_, best);
+  c.messages = max_messages;
+  c.tensor_words = words(TrafficCategory::kTensor);
+  c.factor_words = words(TrafficCategory::kFactor);
+  c.output_words = words(TrafficCategory::kOutput);
+  c.gram_words = words(TrafficCategory::kGram);
+  c.tensor_messages = messages(TrafficCategory::kTensor);
+  c.factor_messages = messages(TrafficCategory::kFactor);
+  c.output_messages = messages(TrafficCategory::kOutput);
+  c.gram_messages = messages(TrafficCategory::kGram);
+  return c;
 }
 
 }  // namespace mtk

@@ -4,18 +4,17 @@
 // sparse partition schemes, and both collective schedules (bucket ring vs
 // recursive doubling/halving).
 //
-// The predictor costs every rank's group position with flat_member_traffic
-// (src/parsim/schedule.hpp): the traffic of that member's steps in the one
-// collective schedule the transports run, on the balanced flat chunks the
-// drivers use, with the same fallback rules (power-of-two groups, uniform
-// Reduce-Scatter chunks). Accumulating those per rank gives
-// predictions that match the simulator's Machine counters *word for word
-// and message for message*, including the nnz-aware Algorithm 4 tensor
-// gather (the Eq. (18) analogue with nonzero terms: N+1 words per nonzero
-// of each P0-fiber's block). Above `exact_rank_cap` ranks the per-rank
-// replay is skipped and a balanced closed-form estimate (2x Eqs. (14)/(18),
-// sent+received, with the matching α-side round counts) is returned with
-// `exact = false`.
+// The predictor builds the same phase plan the drivers run
+// (src/parsim/phase_plan.hpp), from the same partitions, and tallies every
+// group member's phase_member_traffic — the traffic of its position in the
+// one collective schedule the transports run (src/parsim/schedule.hpp) —
+// per rank and category. That gives predictions that match the simulator's
+// Machine counters *word for word and message for message*, including the
+// nnz-aware Algorithm 4 tensor gather (the Eq. (18) analogue with nonzero
+// terms: N+1 words per nonzero of each P0-fiber's block). Above
+// `exact_rank_cap` ranks the per-rank replay is skipped and a balanced
+// closed-form estimate (2x Eqs. (14)/(18), sent+received, with the matching
+// α-side round counts) is returned with `exact = false`.
 #pragma once
 
 #include <vector>
@@ -48,6 +47,33 @@ struct CommPrediction {
   // True when the per-rank replay ran (prediction matches the simulator's
   // counters exactly); false for the balanced closed-form estimate.
   bool exact = false;
+};
+
+// Per-rank words moved (sent + received) and messages sent, by traffic
+// category. The predictor fills it from a phase plan and the drift report
+// (src/obs/drift) from the recorded phases; both read it through
+// bottleneck(), so they share one bottleneck rule.
+class TrafficTally {
+ public:
+  explicit TrafficTally(int num_ranks);
+
+  void add(int rank, TrafficCategory category, double words,
+           double messages);
+  // Divides every rank's `category` words and messages by `divisor`.
+  void divide(TrafficCategory category, double divisor);
+  // The first rank with the largest total words supplies `words` and the
+  // per-category breakdown; `messages` is the max total over all ranks
+  // (the two differ when a rank sits in small-word, many-round groups).
+  // `exact` is left false.
+  CommPrediction bottleneck() const;
+
+ private:
+  static std::size_t slot(std::size_t rank, TrafficCategory category) {
+    return rank * kTrafficCategories + static_cast<std::size_t>(category);
+  }
+
+  std::vector<double> words_;
+  std::vector<double> messages_;
 };
 
 // Problem description the predictor consumes. `coo` optionally carries the

@@ -62,15 +62,6 @@ TEST(ProcessorGrid, GroupsPartitionTheMachine) {
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(grid.size()));
 }
 
-TEST(ProcessorGrid, PositionInGroupIsConsistent) {
-  const ProcessorGrid grid({2, 2, 2});
-  for (int r = 0; r < grid.size(); ++r) {
-    const auto group = grid.group_fixing({1}, r);
-    const int pos = grid.position_in_group({1}, r);
-    EXPECT_EQ(group[static_cast<std::size_t>(pos)], r);
-  }
-}
-
 TEST(ProcessorGrid, FixingAllDimsYieldsSingleton) {
   const ProcessorGrid grid({2, 3});
   const auto group = grid.group_fixing({0, 1}, 4);

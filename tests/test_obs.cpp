@@ -411,6 +411,15 @@ TEST(Drift, MismatchedPredictionIsFlaggedOnSim) {
   EXPECT_GT(report.max_abs_drift_pct, 0.0);
 }
 
+TEST(Drift, RecordWithoutPerRankDeltasIsRejected) {
+  SimTransport tp(4);
+  PhaseRecord record;
+  record.label = "all-gather A(0)";
+  record.group_size = 2;
+  tp.record_phase(record);
+  EXPECT_THROW(compute_drift(tp, CommPrediction{}), std::invalid_argument);
+}
+
 TEST(MeasuredSeconds, ThreadsArePositiveAndSimIsBookkeeping) {
   Rng rng(10);
   const shape_t dims = {12, 10, 8};
