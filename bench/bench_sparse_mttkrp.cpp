@@ -13,14 +13,13 @@
 // Densities are encoded as negative powers of ten in the benchmark args
 // (range(0) = 4 means 1e-4); range(1) is the rank.
 //
-// The kernel-variant sweep (BM_*Variant*) times every parallel reduction
-// schedule (privatized scratch-and-merge / atomic / owner-computed tiles)
-// across thread counts on a skewed gen_tns-style tensor — the regime where
-// the seed's critical-section schedule pays thread-count full-output
-// copies. The fused sweep compares the memoized multi-tree all-modes walk
-// against N independent per-mode calls (reuse factor and CSF-rebuild
-// counters are reported). CI uploads this binary's JSON as
-// BENCH_kernels.json.
+// The schedule sweep (BM_PresetSweep) times the COO kernel and a
+// mode-0-rooted CSF tree on every FROSTT-shape preset, every mode and
+// threads {1, 2, 4}, against the serial kernel (the threads = 1 row), and
+// records which schedule each call ran. The fused sweep compares the
+// memoized multi-tree all-modes walk against N independent per-mode calls
+// (reuse factor and CSF-rebuild counters are reported). CI uploads this
+// binary's JSON as BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -149,93 +148,106 @@ BENCHMARK(BM_DensifiedBlocked) MTK_DENSITY_ARGS;
 BENCHMARK(BM_BuildCsf) MTK_DENSITY_ARGS;
 
 // ---------------------------------------------------------------------------
-// Kernel-variant x thread-count sweep on a skewed gen_tns-style tensor.
-// range(0) encodes the variant (0 = privatized, 1 = atomic, 2 = tiled),
-// range(1) the OpenMP thread count. The tree is rooted at the long mode so
-// the output is large: the privatized (seed critical-section) schedule
-// zeroes and merges thread-count copies of it, which tiled never touches.
+// Schedule sweep: every FROSTT-shape preset (gen_tns --preset) x every mode
+// x threads {1, 2, 4}, on the COO kernel and on one CSF tree rooted at
+// mode 0 (so every other mode is an off-root target). The threads = 1 row
+// runs the serial kernel, the baseline each parallel row is measured
+// against. The schedule_{serial,privatized,tiled} counters are the
+// mtk.kernel.variant.* registry deltas per call: which schedule the
+// kernel's own rule ran. range() = {preset, format (0 = COO, 1 = CSF),
+// mode, threads}.
 
 constexpr index_t kSweepRank = 16;
 
-struct SkewFixture {
+struct PresetFixture {
   SparseTensor coo;
-  CsfTensor csf;   // rooted at mode 0 (the long mode)
+  CsfTensor csf;  // one tree rooted at mode 0
   std::vector<Matrix> factors;
-  int long_mode = 0;
 };
 
-const SkewFixture& skew_fixture() {
-  static const SkewFixture f = [] {
-    SkewFixture fx;
-    // The same tensor the kernel smoke and the CI gate measure.
-    fx.coo = make_frostt_like(*find_frostt_preset("long-mode"), 7);
-    fx.long_mode = 0;
-    fx.csf = CsfTensor::from_coo(fx.coo, fx.long_mode);
-    Rng rng(7);
-    for (index_t d : fx.coo.dims()) {
-      fx.factors.push_back(Matrix::random_normal(d, kSweepRank, rng));
+const std::vector<PresetFixture>& preset_fixtures() {
+  static const std::vector<PresetFixture> fixtures = [] {
+    std::vector<PresetFixture> all;
+    for (const FrosttPreset& preset : frostt_presets()) {
+      PresetFixture fx;
+      fx.coo = make_frostt_like(preset, 7);
+      fx.csf = CsfTensor::from_coo(fx.coo, 0);
+      Rng rng(11);
+      for (index_t d : fx.coo.dims()) {
+        fx.factors.push_back(Matrix::random_normal(d, kSweepRank, rng));
+      }
+      all.push_back(std::move(fx));
     }
-    return fx;
+    return all;
   }();
-  return f;
+  return fixtures;
 }
 
-SparseKernelVariant variant_of(index_t code) {
-  switch (code) {
-    case 0: return SparseKernelVariant::kPrivatized;
-    case 1: return SparseKernelVariant::kAtomic;
-    default: return SparseKernelVariant::kTiled;
+constexpr const char* kSchedules[] = {"serial", "privatized", "tiled"};
+
+void BM_PresetSweep(benchmark::State& state) {
+  const auto preset = static_cast<std::size_t>(state.range(0));
+  const PresetFixture& f = preset_fixtures()[preset];
+  const bool csf = state.range(1) == 1;
+  const int mode = static_cast<int>(state.range(2));
+  OmpThreadCountGuard guard(static_cast<int>(state.range(3)));
+  std::vector<const Counter*> schedule_counters;
+  std::vector<index_t> before;
+  for (const char* name : kSchedules) {
+    schedule_counters.push_back(&MetricsRegistry::global().counter(
+        std::string("mtk.kernel.variant.") + name));
+    before.push_back(schedule_counters.back()->value());
   }
-}
-
-// Scopes a thread-count override to one benchmark run.
-using ThreadCountGuard = OmpThreadCountGuard;
-
-void annotate_sweep(benchmark::State& state, const SkewFixture& f) {
+  for (auto _ : state) {
+    Matrix b = csf ? mttkrp_csf(f.csf, f.factors, mode, /*parallel=*/true)
+                   : mttkrp_coo(f.coo, f.factors, mode, /*parallel=*/true);
+    benchmark::DoNotOptimize(b.data());
+  }
+  for (std::size_t i = 0; i < schedule_counters.size(); ++i) {
+    state.counters[std::string("schedule_") + kSchedules[i]] =
+        static_cast<double>(schedule_counters[i]->value() - before[i]) /
+        static_cast<double>(state.iterations());
+  }
+  state.SetLabel(std::string(frostt_presets()[preset].name) +
+                 (csf ? " csf" : " coo"));
   state.counters["nnz"] = static_cast<double>(f.coo.nnz());
-  state.counters["threads"] = static_cast<double>(state.range(1));
+  state.counters["threads"] = static_cast<double>(state.range(3));
+  state.counters["out_words"] =
+      static_cast<double>(f.coo.dim(mode) * kSweepRank);
   state.SetItemsProcessed(state.iterations() * f.coo.nnz() * kSweepRank);
 }
 
-void BM_CsfVariant(benchmark::State& state) {
-  const SkewFixture& f = skew_fixture();
-  const SparseKernelVariant variant = variant_of(state.range(0));
-  ThreadCountGuard guard(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    Matrix b = mttkrp_csf(f.csf, f.factors, f.long_mode, /*parallel=*/true,
-                          variant);
-    benchmark::DoNotOptimize(b.data());
+void preset_sweep_args(benchmark::internal::Benchmark* b) {
+  const std::vector<FrosttPreset>& presets = frostt_presets();
+  for (std::size_t p = 0; p < presets.size(); ++p) {
+    const auto order = static_cast<index_t>(presets[p].dims.size());
+    for (index_t format : {0, 1}) {
+      for (index_t mode = 0; mode < order; ++mode) {
+        for (index_t threads : {1, 2, 4}) {
+          b->Args({static_cast<index_t>(p), format, mode, threads});
+        }
+      }
+    }
   }
-  annotate_sweep(state, f);
 }
 
-void BM_CooVariant(benchmark::State& state) {
-  const SkewFixture& f = skew_fixture();
-  const SparseKernelVariant variant = variant_of(state.range(0));
-  ThreadCountGuard guard(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    Matrix b = mttkrp_coo(f.coo, f.factors, f.long_mode, /*parallel=*/true,
-                          variant);
-    benchmark::DoNotOptimize(b.data());
-  }
-  annotate_sweep(state, f);
-}
-
-#define MTK_VARIANT_ARGS                                                  \
-  ->Args({0, 1})->Args({0, 2})->Args({0, 4})->Args({0, 8})               \
-      ->Args({1, 4})->Args({2, 1})->Args({2, 2})->Args({2, 4})           \
-      ->Args({2, 8})->Unit(benchmark::kMillisecond)
-
-BENCHMARK(BM_CsfVariant) MTK_VARIANT_ARGS;
-BENCHMARK(BM_CooVariant) MTK_VARIANT_ARGS;
+BENCHMARK(BM_PresetSweep)
+    ->Apply(preset_sweep_args)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Memoized multi-tree all-modes vs N independent per-mode calls on the
-// skewed tensor. Counters report the multiply reuse factor and the CSF
+// long-mode preset. Counters report the multiply reuse factor and the CSF
 // compressions per iteration (the fused path must show zero).
 
+const PresetFixture& long_mode_fixture() {
+  const FrosttPreset* preset = find_frostt_preset("long-mode");
+  return preset_fixtures()[static_cast<std::size_t>(
+      preset - frostt_presets().data())];
+}
+
 void BM_AllModesSeparate(benchmark::State& state) {
-  const SkewFixture& f = skew_fixture();
+  const PresetFixture& f = long_mode_fixture();
   const CsfSet forest = CsfSet::build(f.coo, CsfSetPolicy::kOnePerMode);
   for (auto _ : state) {
     for (int mode = 0; mode < f.coo.order(); ++mode) {
@@ -249,7 +261,7 @@ void BM_AllModesSeparate(benchmark::State& state) {
 }
 
 void BM_AllModesFused(benchmark::State& state) {
-  const SkewFixture& f = skew_fixture();
+  const PresetFixture& f = long_mode_fixture();
   const StoredTensor handle = StoredTensor::coo_view(f.coo);
   const AllModesResult warm = mttkrp_all_modes(handle, f.factors);
   const Counter& builds = MetricsRegistry::global().counter("mtk.csf.builds");
@@ -272,53 +284,6 @@ void BM_AllModesFused(benchmark::State& state) {
 
 BENCHMARK(BM_AllModesSeparate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AllModesFused)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// FROSTT-shape presets (gen_tns --preset): tiled vs privatized CSF at the
-// host's thread count. range(0) indexes the preset, range(1) the variant
-// code.
-
-const std::vector<SkewFixture>& preset_fixtures() {
-  static const std::vector<SkewFixture> fixtures = [] {
-    std::vector<SkewFixture> all;
-    for (const FrosttPreset& preset : frostt_presets()) {
-      SkewFixture fx;
-      fx.coo = make_frostt_like(preset, 7);
-      fx.long_mode = 0;
-      for (int k = 1; k < fx.coo.order(); ++k) {
-        if (fx.coo.dim(k) > fx.coo.dim(fx.long_mode)) fx.long_mode = k;
-      }
-      fx.csf = CsfTensor::from_coo(fx.coo, fx.long_mode);
-      Rng rng(11);
-      for (index_t d : fx.coo.dims()) {
-        fx.factors.push_back(Matrix::random_normal(d, kSweepRank, rng));
-      }
-      all.push_back(std::move(fx));
-    }
-    return all;
-  }();
-  return fixtures;
-}
-
-void BM_PresetCsf(benchmark::State& state) {
-  const SkewFixture& f =
-      preset_fixtures()[static_cast<std::size_t>(state.range(0))];
-  const SparseKernelVariant variant = variant_of(state.range(1));
-  for (auto _ : state) {
-    Matrix b = mttkrp_csf(f.csf, f.factors, f.long_mode, /*parallel=*/true,
-                          variant);
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetLabel(frostt_presets()[static_cast<std::size_t>(state.range(0))]
-                     .name);
-  state.counters["nnz"] = static_cast<double>(f.coo.nnz());
-}
-
-BENCHMARK(BM_PresetCsf)
-    ->Args({0, 0})->Args({0, 2})
-    ->Args({1, 0})->Args({1, 2})
-    ->Args({2, 0})->Args({2, 2})
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Randomized sketched backend sweep (`--sampled`): leverage-sampled MTTKRP

@@ -53,9 +53,6 @@ ParCpAlsResult par_cp_als(const StoredTensor& x, const ParCpAlsOptions& opts) {
     tuned.grid = plan.grid;
     tuned.partition = plan.scheme;
     tuned.collectives = plan.collectives;
-    // The bug this fixes: the planner's kernel_variant used to be dropped
-    // here, so autotuned runs always fell back to the per-call heuristic.
-    tuned.kernel_variant = plan.kernel_variant;
 
     // Honor the planner's backend choice: sparse storage converts once,
     // here, so the per-rank local kernels run in the recommended format.
@@ -145,10 +142,10 @@ ParCpAlsResult par_cp_als(const StoredTensor& x, const ParCpAlsOptions& opts) {
           dense_input
               ? par_mttkrp_stationary(transport, x, result.model.factors,
                                       mode, opts.grid, opts.collectives,
-                                      opts.partition, opts.kernel_variant)
+                                      opts.partition)
               : par_mttkrp_stationary(transport, x, result.model.factors,
-                                      mode, opts.grid, plan, opts.collectives,
-                                      opts.kernel_variant);
+                                      mode, opts.grid, plan,
+                                      opts.collectives);
       mttkrp_words_iter += transport.max_words_moved() - before;
 
       Matrix a;

@@ -34,9 +34,6 @@ struct ParCpAlsOptions {
   // Execution backend: kSim counts words on the counting machine, kThreads
   // runs the same schedules for real on P rank threads (and still counts).
   TransportKind transport = TransportKind::kSim;
-  // Local sparse-kernel schedule; replaced by the planner's choice when
-  // autotuning. kAuto keeps the per-call heuristic.
-  SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto;
   // Autotune: let the planner (through the global plan cache) pick the
   // grid, partition scheme, sparse backend, and collective schedule for
   // `procs` processors (or prod(grid) when `grid` is set, whose extents

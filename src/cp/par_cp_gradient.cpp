@@ -54,8 +54,6 @@ ParCpGradResult par_cp_gradient(const StoredTensor& x,
     tuned.grid = plan.grid;
     tuned.partition = plan.scheme;
     tuned.collectives = plan.collectives;
-    // Honor the planner's local-kernel schedule (previously dropped here).
-    tuned.kernel_variant = plan.kernel_variant;
 
     // Honor the planner's backend choice: sparse storage converts once,
     // here, so the per-rank local kernels run in the recommended format.
@@ -109,10 +107,9 @@ ParCpGradResult par_cp_gradient(const StoredTensor& x,
     ParAllModesResult r =
         dense_input
             ? par_mttkrp_all_modes(transport, x, factors, opts.grid,
-                                   opts.collectives, opts.partition,
-                                   opts.kernel_variant)
+                                   opts.collectives, opts.partition)
             : par_mttkrp_all_modes(transport, x, factors, opts.grid, plan,
-                                   opts.collectives, opts.kernel_variant);
+                                   opts.collectives);
     eval.mttkrps = std::move(r.outputs);
     ++result.evaluations;
     return eval;

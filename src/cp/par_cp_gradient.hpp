@@ -34,8 +34,6 @@ struct ParCpGradOptions {
   CollectiveSchedule collectives = CollectiveKind::kBucket;
   // Execution backend (counting simulator vs real rank threads).
   TransportKind transport = TransportKind::kSim;
-  // Local sparse-kernel schedule; replaced by the plan when autotuning.
-  SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto;
   // Autotune through plan_cp_gradient + the global plan cache.
   bool autotune = false;
   int procs = 0;

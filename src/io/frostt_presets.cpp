@@ -10,11 +10,10 @@ const std::vector<FrosttPreset>& frostt_presets() {
       {"nell-2", {3023, 2296, 7205}, 4.0e-6, 1.1},
       {"delicious", {5330, 17262, 24803}, 6.0e-8, 1.8},
       {"amazon", {4821, 17818, 236}, 1.0e-5, 1.3},
-      // One long output mode against a modest nonzero count: the regime
-      // where the critical-section kernel pays thread-count full-output
-      // copies. The single source of truth for the kernel-smoke tensor
-      // (tools/kernel_smoke, bench_sparse_mttkrp's sweep fixture, the
-      // Release ctest, and the CI smoke all use this entry).
+      // One long output mode against a modest nonzero count. The single
+      // source of truth for the kernel-smoke tensor (tools/kernel_smoke,
+      // bench_sparse_mttkrp's all-modes fixture, the Release ctest, and
+      // the CI smoke all use this entry).
       {"long-mode", {40000, 400, 300}, 2.0e-5, 1.5},
   };
   return presets;

@@ -237,12 +237,12 @@ Matrix mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
   switch (opts.sparse_algo) {
     case SparseMttkrpAlgo::kAuto:
     case SparseMttkrpAlgo::kCoo:
-      return mttkrp_coo(x, factors, mode, opts.parallel, opts.kernel_variant);
+      return mttkrp_coo(x, factors, mode, opts.parallel);
     case SparseMttkrpAlgo::kCsf:
       // One-shot conversion; handle-level callers go through StoredTensor,
       // whose cached forest avoids this per-call compression.
       return mttkrp_csf(CsfTensor::from_coo(x, mode), factors, mode,
-                        opts.parallel, opts.kernel_variant);
+                        opts.parallel);
   }
   MTK_ASSERT(false, "unreachable: unknown sparse MTTKRP algorithm");
   return Matrix{};
@@ -253,10 +253,9 @@ Matrix mttkrp(const CsfTensor& x, const std::vector<Matrix>& factors,
   switch (opts.sparse_algo) {
     case SparseMttkrpAlgo::kAuto:
     case SparseMttkrpAlgo::kCsf:
-      return mttkrp_csf(x, factors, mode, opts.parallel, opts.kernel_variant);
+      return mttkrp_csf(x, factors, mode, opts.parallel);
     case SparseMttkrpAlgo::kCoo:
-      return mttkrp_coo(x.to_coo(), factors, mode, opts.parallel,
-                        opts.kernel_variant);
+      return mttkrp_coo(x.to_coo(), factors, mode, opts.parallel);
   }
   MTK_ASSERT(false, "unreachable: unknown sparse MTTKRP algorithm");
   return Matrix{};
@@ -272,7 +271,7 @@ Matrix mttkrp(const StoredTensor& x, const std::vector<Matrix>& factors,
         // Cached per-mode forest: the tree rooted at `mode` is compressed
         // once per handle family, not once per call.
         return mttkrp_csf(x.csf_forest().tree_for(mode), factors, mode,
-                          opts.parallel, opts.kernel_variant);
+                          opts.parallel);
       }
       return mttkrp(x.as_coo(), factors, mode, opts);
     case StorageFormat::kCsf:

@@ -9,7 +9,7 @@
 //                  tiles (src/mttkrp/sparse_kernels.hpp).
 //   CsfTensor    — compressed-sparse-fiber kernel: factor rows shared along
 //                  fibers, OpenMP over root fiber slabs / output tiles with
-//                  per-variant reduction schedules, as in SPLATT.
+//                  a schedule chosen from the input, as in SPLATT.
 //
 // `StoredTensor` is the type-erased handle the upper layers (CP-ALS,
 // CP-gradient, IO, CLI) hold so they run unmodified on any backend. Sparse
@@ -98,8 +98,7 @@ class StoredTensor {
 SparseTensor to_coo(const StoredTensor& x, double dense_threshold = 0.0);
 
 // Dispatching entry points; MttkrpOptions::sparse_algo selects the sparse
-// kernel (kAuto runs the storage-native kernel without conversion) and
-// MttkrpOptions::kernel_variant its parallel schedule.
+// kernel (kAuto runs the storage-native kernel without conversion).
 Matrix mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
               int mode, const MttkrpOptions& opts = {});
 Matrix mttkrp(const CsfTensor& x, const std::vector<Matrix>& factors,

@@ -28,16 +28,6 @@ const char* to_string(SparseMttkrpAlgo algo) {
   return "unknown";
 }
 
-const char* to_string(SparseKernelVariant variant) {
-  switch (variant) {
-    case SparseKernelVariant::kAuto: return "auto";
-    case SparseKernelVariant::kPrivatized: return "privatized";
-    case SparseKernelVariant::kAtomic: return "atomic";
-    case SparseKernelVariant::kTiled: return "tiled";
-  }
-  return "unknown";
-}
-
 index_t check_mttkrp_args(const shape_t& dims,
                           const std::vector<Matrix>& factors, int mode) {
   const int n = static_cast<int>(dims.size());

@@ -33,22 +33,11 @@ enum class MttkrpAlgo { kReference, kBlocked, kMatmul, kTwoStep };
 // benchmarking, not fast paths).
 enum class SparseMttkrpAlgo { kAuto, kCoo, kCsf };
 
-// Parallel schedule of the sparse kernels (src/mttkrp/sparse_kernels.hpp).
-//   kAuto       — heuristic: owner-computes when the schedule permits it
-//                 (root-mode CSF, primary-sorted COO), privatized scratch
-//                 when the output is small, tiled otherwise.
-//   kPrivatized — every thread accumulates into a private copy of B and the
-//                 copies merge under a critical section (the seed schedule;
-//                 kept as the calibration/benchmark baseline).
-//   kAtomic     — threads update the shared B with per-element atomic adds
-//                 (SPLATT's mutex-pool idea at word granularity).
-//   kTiled      — static fiber-slab / output-tile partition: threads own
-//                 disjoint output rows and write with no synchronization.
-enum class SparseKernelVariant { kAuto, kPrivatized, kAtomic, kTiled };
+// Ignored; kept only as perfbench/src/{layers,serve_workload}.cpp name it.
+enum class SparseKernelVariant { kAuto };
 
 const char* to_string(MttkrpAlgo algo);
 const char* to_string(SparseMttkrpAlgo algo);
-const char* to_string(SparseKernelVariant variant);
 
 struct MttkrpOptions {
   MttkrpAlgo algo = MttkrpAlgo::kBlocked;
@@ -62,10 +51,10 @@ struct MttkrpOptions {
   // OpenMP-parallelize: over mode-n blocks (kBlocked), nonzero chunks (COO),
   // or root fibers / output tiles (CSF). Dense blocked workers write
   // disjoint rows of B, so no synchronization is needed; the sparse kernels
-  // pick their reduction strategy per `kernel_variant`.
+  // pick their reduction schedule from their inputs
+  // (src/mttkrp/sparse_kernels.hpp).
   bool parallel = false;
-  // Parallel reduction schedule of the sparse kernels (ignored for dense
-  // storage and for serial runs).
+  // Ignored; kept only as perfbench/src/{layers,serve_workload}.cpp name it.
   SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto;
 };
 

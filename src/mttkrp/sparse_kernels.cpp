@@ -1,7 +1,6 @@
 #include "src/mttkrp/sparse_kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -15,41 +14,24 @@ namespace mtk {
 
 namespace {
 
-// Which schedule actually executed, process-wide — the regression hook for
-// planner plumbing, on the MetricsRegistry under the stable
-// mtk.kernel.variant.* names. `serial` counts the kAuto fast path that
-// bypasses scheduling. The function-local statics resolve the registry
-// lookup once per process.
-Counter& serial_counter() {
-  static Counter& c =
+// The parallel schedules a sparse kernel picks from its own inputs (see
+// sparse_kernels.hpp); kSerial is the plain loop at one thread.
+enum class Schedule { kSerial, kPrivateCopies, kOwnerTiles };
+
+// Counts the schedule that executed, process-wide, on the MetricsRegistry
+// under the stable mtk.kernel.variant.* names. The function-local statics
+// resolve the registry lookup once per process.
+void note_executed(Schedule schedule) {
+  static Counter& serial =
       MetricsRegistry::global().counter("mtk.kernel.variant.serial");
-  return c;
-}
-Counter& privatized_counter() {
-  static Counter& c =
+  static Counter& privatized =
       MetricsRegistry::global().counter("mtk.kernel.variant.privatized");
-  return c;
-}
-Counter& atomic_counter() {
-  static Counter& c =
-      MetricsRegistry::global().counter("mtk.kernel.variant.atomic");
-  return c;
-}
-Counter& tiled_counter() {
-  static Counter& c =
+  static Counter& tiled =
       MetricsRegistry::global().counter("mtk.kernel.variant.tiled");
-  return c;
-}
-
-void note_serial_executed() { serial_counter().add(); }
-
-void note_variant_executed(SparseKernelVariant v) {
-  switch (v) {
-    case SparseKernelVariant::kPrivatized: privatized_counter().add(); break;
-    case SparseKernelVariant::kAtomic: atomic_counter().add(); break;
-    case SparseKernelVariant::kTiled: tiled_counter().add(); break;
-    case SparseKernelVariant::kAuto:
-      break;  // resolved before this point
+  switch (schedule) {
+    case Schedule::kSerial: serial.add(); break;
+    case Schedule::kPrivateCopies: privatized.add(); break;
+    case Schedule::kOwnerTiles: tiled.add(); break;
   }
 }
 
@@ -61,10 +43,21 @@ int max_threads() {
 #endif
 }
 
-// Output rows x rank at or below which the privatized schedule wins under
-// kAuto: zeroing + merging thread-private copies of a small B is cheaper
-// than building a tiling or contending on atomics.
+// Output rows x rank at or below which the privatized schedule wins:
+// zeroing + merging thread-private copies of a small B is cheaper than
+// building a tiling.
 constexpr index_t kPrivatizeOutputWords = index_t{1} << 13;
+
+// The schedule rule shared by both kernels. `owner_computes_free` holds
+// when the input order already gives every thread disjoint output rows (a
+// root CSF target, or COO mode 0 under the lexicographic sort).
+Schedule choose_schedule(int threads, bool owner_computes_free,
+                         index_t out_words) {
+  if (threads <= 1) return Schedule::kSerial;
+  if (owner_computes_free) return Schedule::kOwnerTiles;
+  if (out_words <= kPrivatizeOutputWords) return Schedule::kPrivateCopies;
+  return Schedule::kOwnerTiles;
+}
 
 void add_range(double* dst, const double* src, index_t count) {
   for (index_t i = 0; i < count; ++i) dst[i] += src[i];
@@ -75,11 +68,9 @@ void add_range(double* dst, const double* src, index_t count) {
 
 // Accumulates nonzeros q in [begin, end) — positions ids[q] when a gather
 // list is given, q itself otherwise — into `out` (row-major, `rank` cols).
-// `atomic_adds` makes the output update safe against concurrent writers.
 void coo_accumulate(const SparseTensor& x, const std::vector<Matrix>& factors,
                     int mode, const index_t* ids, index_t begin, index_t end,
-                    double* out, index_t rank, double* prod,
-                    bool atomic_adds) {
+                    double* out, index_t rank, double* prod) {
   const int n = x.order();
   const index_t* out_ind = x.mode_indices(mode).data();
   const double* values = x.values().data();
@@ -103,14 +94,7 @@ void coo_accumulate(const SparseTensor& x, const std::vector<Matrix>& factors,
       for (index_t r = 0; r < rank; ++r) prod[r] *= arow[r];
     }
     double* brow = out + out_ind[p] * rank;
-    if (atomic_adds) {
-      for (index_t r = 0; r < rank; ++r) {
-#pragma omp atomic
-        brow[r] += prod[r];
-      }
-    } else {
-      for (index_t r = 0; r < rank; ++r) brow[r] += prod[r];
-    }
+    for (index_t r = 0; r < rank; ++r) brow[r] += prod[r];
   }
 }
 
@@ -169,53 +153,35 @@ CooTiling build_coo_tiling(const SparseTensor& x, int mode, int threads,
   return {perm, offsets};
 }
 
-SparseKernelVariant resolve_coo_variant(SparseKernelVariant variant, int mode,
-                                        index_t out_words) {
-  if (variant != SparseKernelVariant::kAuto) return variant;
-  if (mode == 0) return SparseKernelVariant::kTiled;  // sorted: free tiles
-  if (out_words <= kPrivatizeOutputWords) {
-    return SparseKernelVariant::kPrivatized;
-  }
-  return SparseKernelVariant::kTiled;
-}
-
 }  // namespace
 
 Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
-                  int mode, bool parallel, SparseKernelVariant variant) {
+                  int mode, bool parallel) {
   const index_t rank = check_mttkrp_args(x.dims(), factors, mode);
   MTK_CHECK(x.sorted(), "mttkrp_coo requires sort_and_dedup() first");
   Span span(SpanCategory::kKernel, "mttkrp_coo");
+  Matrix b(x.dim(mode), rank);
+  const index_t count = x.nnz();
+  const index_t out_words = checked_mul(b.rows(), rank);
+  ThreadArena& arena = mttkrp_arena();
+  const int threads = parallel ? max_threads() : 1;
+  const Schedule schedule = choose_schedule(threads, mode == 0, out_words);
   if (span.enabled()) {
     span.arg("nnz", x.nnz());
     span.arg("mode", mode);
-    span.arg("variant", static_cast<int>(variant));
+    span.arg("schedule", static_cast<int>(schedule));
   }
-  Matrix b(x.dim(mode), rank);
-  const index_t count = x.nnz();
-  ThreadArena& arena = mttkrp_arena();
-  const int threads = parallel ? max_threads() : 1;
+  note_executed(schedule);
 
-  // The plain serial loop is the kAuto fast path only: an explicitly
-  // requested variant must execute its schedule even at one thread (its
-  // single tile/chunk reproduces the serial accumulation order bit-for-bit),
-  // so planner-chosen variants are honored wherever the call lands.
-  if (threads <= 1 && variant == SparseKernelVariant::kAuto) {
-    note_serial_executed();
-    arena.prepare(1, static_cast<std::size_t>(rank));
-    coo_accumulate(x, factors, mode, nullptr, 0, count, b.data(), rank,
-                   arena.slot(0), /*atomic_adds=*/false);
-    return b;
-  }
-
-  const index_t out_words = checked_mul(b.rows(), rank);
-  const SparseKernelVariant resolved =
-      resolve_coo_variant(variant, mode, out_words);
-  note_variant_executed(resolved);
-  switch (resolved) {
-    case SparseKernelVariant::kPrivatized: {
-      // Seed schedule, arena-backed: private copies of B merged under a
-      // critical section.
+  switch (schedule) {
+    case Schedule::kSerial: {
+      arena.prepare(1, static_cast<std::size_t>(rank));
+      coo_accumulate(x, factors, mode, nullptr, 0, count, b.data(), rank,
+                     arena.slot(0));
+      return b;
+    }
+    case Schedule::kPrivateCopies: {
+      // Private copies of B merged under a critical section.
       arena.prepare(threads, static_cast<std::size_t>(out_words + rank));
 #pragma omp parallel num_threads(threads)
       {
@@ -233,36 +199,14 @@ Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
           double* prod = scratch + out_words;
           std::fill(scratch, scratch + out_words, 0.0);
           coo_accumulate(x, factors, mode, nullptr, begin, end, scratch, rank,
-                         prod, /*atomic_adds=*/false);
+                         prod);
 #pragma omp critical(mtk_mttkrp_coo_reduce)
           add_range(b.data(), scratch, out_words);
         }
       }
       return b;
     }
-    case SparseKernelVariant::kAtomic: {
-      arena.prepare(threads, static_cast<std::size_t>(rank));
-#pragma omp parallel num_threads(threads)
-      {
-#ifdef _OPENMP
-        const index_t nth = omp_get_num_threads();
-        const index_t tid = omp_get_thread_num();
-#else
-        const index_t nth = 1, tid = 0;
-#endif
-        const index_t chunk = ceil_div(std::max<index_t>(count, 1), nth);
-        const index_t begin = std::min(count, tid * chunk);
-        const index_t end = std::min(count, begin + chunk);
-        if (begin < end) {
-          coo_accumulate(x, factors, mode, nullptr, begin, end, b.data(),
-                         rank, arena.slot(static_cast<int>(tid)),
-                         /*atomic_adds=*/true);
-        }
-      }
-      return b;
-    }
-    case SparseKernelVariant::kAuto:  // resolved above; not reachable
-    case SparseKernelVariant::kTiled: {
+    case Schedule::kOwnerTiles: {
       arena.prepare(threads, static_cast<std::size_t>(rank));
       if (mode == 0) {
         // The COO order is lexicographic with mode 0 most significant, so
@@ -284,7 +228,7 @@ Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
               snap_to_row_boundary(ind, count, (t + 1) * chunk);
           if (begin < end) {
             coo_accumulate(x, factors, mode, nullptr, begin, end, b.data(),
-                           rank, arena.slot(tid), /*atomic_adds=*/false);
+                           rank, arena.slot(tid));
           }
         }
         return b;
@@ -301,13 +245,13 @@ Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
         const index_t end = tiling.offsets[t + 1];
         if (begin < end) {
           coo_accumulate(x, factors, mode, tiling.perm, begin, end, b.data(),
-                         rank, arena.slot(tid), /*atomic_adds=*/false);
+                         rank, arena.slot(tid));
         }
       }
       return b;
     }
   }
-  MTK_ASSERT(false, "unreachable: unknown sparse kernel variant");
+  MTK_ASSERT(false, "unreachable: unknown sparse kernel schedule");
   return b;
 }
 
@@ -349,7 +293,6 @@ struct CsfWalkCtx {
   int target = 0;
   index_t rank = 0;
   double* out = nullptr;  // row-major rank-column output
-  bool atomic_adds = false;
   index_t tile_lo = 0;  // target-fid half-open filter for owner-computes
   index_t tile_hi = 0;
   double* top_stack = nullptr;  // [order x rank]
@@ -369,14 +312,7 @@ void csf_walk(CsfWalkCtx& c, int level, index_t node, const double* top) {
     double* brow = c.out + fid * rank;
     if (level == n - 1) {
       const double v = c.x.values()[static_cast<std::size_t>(node)];
-      if (c.atomic_adds) {
-        for (index_t r = 0; r < rank; ++r) {
-#pragma omp atomic
-          brow[r] += v * top[r];
-        }
-      } else {
-        for (index_t r = 0; r < rank; ++r) brow[r] += v * top[r];
-      }
+      for (index_t r = 0; r < rank; ++r) brow[r] += v * top[r];
       return;
     }
     double* bot = c.bot_stack + level * rank;
@@ -386,14 +322,7 @@ void csf_walk(CsfWalkCtx& c, int level, index_t node, const double* top) {
     for (index_t ch = begin; ch < end; ++ch) {
       csf_bottom_sum(c.x, c.factors, level + 1, ch, rank, c.bot_stack, bot);
     }
-    if (c.atomic_adds) {
-      for (index_t r = 0; r < rank; ++r) {
-#pragma omp atomic
-        brow[r] += top[r] * bot[r];
-      }
-    } else {
-      for (index_t r = 0; r < rank; ++r) brow[r] += top[r] * bot[r];
-    }
+    for (index_t r = 0; r < rank; ++r) brow[r] += top[r] * bot[r];
     return;
   }
   const int k = c.x.mode_order()[static_cast<std::size_t>(level)];
@@ -443,44 +372,35 @@ void root_slab(const index_t* leaf_offsets, index_t roots, index_t nnz,
   *end = static_cast<index_t>(hi - leaf_offsets);
 }
 
-SparseKernelVariant resolve_csf_variant(SparseKernelVariant variant,
-                                        int target, index_t out_words) {
-  if (variant != SparseKernelVariant::kAuto) return variant;
-  if (target == 0) return SparseKernelVariant::kTiled;  // root slabs: free
-  if (out_words <= kPrivatizeOutputWords) {
-    return SparseKernelVariant::kPrivatized;
-  }
-  return SparseKernelVariant::kTiled;
-}
-
 }  // namespace
 
 Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
-                  int mode, bool parallel, SparseKernelVariant variant) {
+                  int mode, bool parallel) {
   const index_t rank = check_mttkrp_args(x.dims(), factors, mode);
   Span span(SpanCategory::kKernel, "mttkrp_csf");
-  if (span.enabled()) {
-    span.arg("nnz", x.nnz());
-    span.arg("mode", mode);
-    span.arg("variant", static_cast<int>(variant));
-  }
   const int target = x.level_of_mode(mode);
   const int n = x.order();
   Matrix b(x.dim(mode), rank);
   const index_t roots = x.node_count(0);
   const index_t count = x.nnz();
+  const index_t out_words = checked_mul(b.rows(), rank);
   ThreadArena& arena = mttkrp_arena();
   const std::size_t stack_words =
       static_cast<std::size_t>(2 * n * rank + rank);
   const int threads = parallel ? max_threads() : 1;
+  const Schedule schedule = choose_schedule(threads, target == 0, out_words);
+  if (span.enabled()) {
+    span.arg("nnz", x.nnz());
+    span.arg("mode", mode);
+    span.arg("schedule", static_cast<int>(schedule));
+  }
+  note_executed(schedule);
 
-  const auto make_ctx = [&](double* slot, double* out,
-                            bool atomic_adds) -> CsfWalkCtx {
+  const auto make_ctx = [&](double* slot, double* out) -> CsfWalkCtx {
     CsfWalkCtx c{x, factors};
     c.target = target;
     c.rank = rank;
     c.out = out;
-    c.atomic_adds = atomic_adds;
     c.tile_lo = 0;
     c.tile_hi = b.rows();
     c.top_stack = slot;
@@ -495,23 +415,15 @@ Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
     return ones;
   };
 
-  // Like the COO kernel: the plain walk serves kAuto only, so an explicitly
-  // requested variant runs its schedule even at one thread.
-  if (threads <= 1 && variant == SparseKernelVariant::kAuto) {
-    note_serial_executed();
+  if (schedule == Schedule::kSerial) {
     arena.prepare(1, stack_words);
     double* slot = arena.slot(0);
-    CsfWalkCtx c = make_ctx(slot, b.data(), false);
+    CsfWalkCtx c = make_ctx(slot, b.data());
     csf_roots(c, 0, roots, fill_ones(slot));
     return b;
   }
 
-  const index_t out_words = checked_mul(b.rows(), rank);
-  const SparseKernelVariant resolved =
-      resolve_csf_variant(variant, target, out_words);
-  note_variant_executed(resolved);
-
-  if (resolved == SparseKernelVariant::kTiled && target > 0) {
+  if (schedule == Schedule::kOwnerTiles && target > 0) {
     // Owner-computes over output tiles: rows are cut into per-thread tiles
     // balanced by the nonzero weight below each target-level fiber; every
     // thread walks the whole forest but only processes target fibers in
@@ -559,7 +471,7 @@ Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
       const int tid = 0;
 #endif
       double* slot = arena.slot(tid);
-      CsfWalkCtx c = make_ctx(slot, b.data(), false);
+      CsfWalkCtx c = make_ctx(slot, b.data());
       c.tile_lo = cuts[t];
       c.tile_hi = cuts[t + 1];
       if (c.tile_lo < c.tile_hi) {
@@ -569,17 +481,20 @@ Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
     return b;
   }
 
-  // Remaining parallel schedules partition root fibers into slabs of
-  // near-equal nonzero count (root subtrees are wildly uneven, so the cut
-  // is by leaf offset, not fiber count).
+  // The other two schedules partition root fibers into slabs of near-equal
+  // nonzero count (root subtrees are wildly uneven, so the cut is by leaf
+  // offset, not fiber count): at a root target each root fiber owns exactly
+  // one output row, so slab workers write B directly with no
+  // synchronization; otherwise each accumulates into a private copy of B
+  // from the arena, merged under a critical section.
   index_t* leaf_offsets =
       arena.index_scratch(static_cast<std::size_t>(roots) + 1);
   csf_root_leaf_offsets(x, leaf_offsets);
 
+  const bool privatized = schedule == Schedule::kPrivateCopies;
   const std::size_t slot_words =
-      resolved == SparseKernelVariant::kPrivatized
-          ? stack_words + static_cast<std::size_t>(out_words)
-          : stack_words;
+      privatized ? stack_words + static_cast<std::size_t>(out_words)
+                 : stack_words;
   arena.prepare(threads, slot_words);
 #pragma omp parallel num_threads(threads)
   {
@@ -593,34 +508,16 @@ Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
     root_slab(leaf_offsets, roots, count, tid, nth, &root_begin, &root_end);
     if (root_begin < root_end) {
       double* slot = arena.slot(static_cast<int>(tid));
-      if (target == 0) {
-        // Root-mode fast path: each root fiber owns exactly one output
-        // row, so slab workers write disjoint rows with no
-        // synchronization (any requested variant short of privatized).
-        if (resolved == SparseKernelVariant::kPrivatized) {
-          double* scratch = slot + stack_words;
-          std::fill(scratch, scratch + out_words, 0.0);
-          CsfWalkCtx c = make_ctx(slot, scratch, false);
-          csf_roots(c, root_begin, root_end, fill_ones(slot));
-#pragma omp critical(mtk_mttkrp_csf_reduce)
-          add_range(b.data(), scratch, out_words);
-        } else {
-          CsfWalkCtx c = make_ctx(slot, b.data(), false);
-          csf_roots(c, root_begin, root_end, fill_ones(slot));
-        }
-      } else if (resolved == SparseKernelVariant::kAtomic) {
-        CsfWalkCtx c = make_ctx(slot, b.data(), true);
-        csf_roots(c, root_begin, root_end, fill_ones(slot));
-      } else {
-        // Privatized: per-thread copy of B from the arena, merged under a
-        // critical section (the seed schedule, minus its per-call
-        // allocation).
+      if (privatized) {
         double* scratch = slot + stack_words;
         std::fill(scratch, scratch + out_words, 0.0);
-        CsfWalkCtx c = make_ctx(slot, scratch, false);
+        CsfWalkCtx c = make_ctx(slot, scratch);
         csf_roots(c, root_begin, root_end, fill_ones(slot));
 #pragma omp critical(mtk_mttkrp_csf_reduce)
         add_range(b.data(), scratch, out_words);
+      } else {
+        CsfWalkCtx c = make_ctx(slot, b.data());
+        csf_roots(c, root_begin, root_end, fill_ones(slot));
       }
     }
   }
@@ -629,8 +526,7 @@ Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
 
 Matrix mttkrp(const CsfSet& set, const std::vector<Matrix>& factors,
               int mode, const MttkrpOptions& opts) {
-  return mttkrp_csf(set.tree_for(mode), factors, mode, opts.parallel,
-                    opts.kernel_variant);
+  return mttkrp_csf(set.tree_for(mode), factors, mode, opts.parallel);
 }
 
 // ---------------------------------------------------------------------------

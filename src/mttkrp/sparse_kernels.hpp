@@ -1,27 +1,21 @@
 // SPLATT-class sparse MTTKRP kernels: the shared-memory hot path behind the
 // storage dispatch layer (src/mttkrp/dispatch.hpp).
 //
-// Parallel schedules (MttkrpOptions::kernel_variant / SparseKernelVariant):
+// Each kernel picks its parallel schedule from its own inputs:
 //
-//   privatized — every thread accumulates its chunk into a private copy of
-//                B and the copies merge under a critical section. This is
-//                the seed schedule; its scratch now comes from the
-//                per-thread ThreadArena instead of a fresh `rows x rank`
-//                Matrix allocated inside the parallel region, and it
-//                remains the right choice when the output is small (merge
-//                cost ~ rows x rank x threads is negligible).
-//   atomic     — threads update the shared B with per-element atomic adds;
-//                no scratch, no merge, contention proportional to how many
-//                nonzeros share an output row.
+//   serial     — the plain loop, whenever the call runs on one thread.
 //   tiled      — owner-computes: output rows are partitioned into
 //                per-thread tiles balanced by nonzero weight, and every
 //                write is unsynchronized because each thread only touches
-//                its own rows. COO sorted by the output mode and root-mode
-//                CSF get this for free (contiguous fiber slabs); other COO
-//                modes bucket the nonzeros by tile once per call; non-root
-//                CSF targets filter the tree walk by tile.
-//   auto       — tiled when the schedule permits owner-computes cheaply,
-//                privatized when the output is small, tiled otherwise.
+//                its own rows. COO sorted by the output mode (mode 0) and
+//                root-mode CSF get this for free (contiguous fiber slabs),
+//                and always take it; otherwise it is chosen when the output
+//                is large: other COO modes bucket the nonzeros by tile once
+//                per call, non-root CSF targets filter the tree walk by tile.
+//   privatized — every thread accumulates its chunk into a private copy of
+//                B and the copies merge under a critical section; chosen
+//                when the output is small (rows x R <= 2^13), where the
+//                merge costs less than building a tiling.
 //
 // All scratch (product buffers, walk stacks, privatized output copies,
 // tiling permutations) lives in the calling thread's ThreadArena
@@ -38,21 +32,15 @@
 
 namespace mtk {
 
-// Every call counts the schedule that actually executed on the
-// mtk.kernel.variant.{serial,privatized,atomic,tiled} registry counters
-// (src/obs/metrics.hpp) — the regression hook for planner plumbing: tests
-// assert that a plan's kernel_variant reaches the kernels instead of being
-// silently dropped. `serial` counts kAuto calls that took the unscheduled
-// serial fast path; explicitly requested variants always land in their
-// schedule's counter.
+// Every call counts the schedule that executed on the
+// mtk.kernel.variant.{serial,privatized,tiled} registry counters
+// (src/obs/metrics.hpp).
 
 // Direct sparse kernels (used by the dispatch layer, tests, benchmarks).
 Matrix mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
-                  int mode, bool parallel = false,
-                  SparseKernelVariant variant = SparseKernelVariant::kAuto);
+                  int mode, bool parallel = false);
 Matrix mttkrp_csf(const CsfTensor& x, const std::vector<Matrix>& factors,
-                  int mode, bool parallel = false,
-                  SparseKernelVariant variant = SparseKernelVariant::kAuto);
+                  int mode, bool parallel = false);
 
 // Per-mode MTTKRP against a prebuilt CsfSet: routes to the tree where
 // `mode` sits at its cheapest level (no per-call compression).

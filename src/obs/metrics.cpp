@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 
 namespace mtk {
 namespace {
@@ -32,27 +33,6 @@ void atomic_max(std::atomic<std::int64_t>& slot, std::int64_t value) {
   while (value > cur &&
          !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
   }
-}
-
-// Writes `s` as a JSON string literal. Metric names are plain dotted ASCII,
-// but escape defensively so a stray character can't corrupt the document.
-void write_json_string(std::FILE* out, const std::string& s) {
-  std::fputc('"', out);
-  for (const char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", out); break;
-      case '\\': std::fputs("\\\\", out); break;
-      case '\n': std::fputs("\\n", out); break;
-      case '\t': std::fputs("\\t", out); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", static_cast<unsigned>(c));
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-  std::fputc('"', out);
 }
 
 }  // namespace

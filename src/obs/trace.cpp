@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 
 namespace mtk {
 namespace {
@@ -121,26 +122,6 @@ std::vector<TraceEvent> TraceSession::events() const {
   return merged;
 }
 
-namespace {
-
-void write_escaped(std::FILE* out, const char* s) {
-  std::fputc('"', out);
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      std::fputc('\\', out);
-      std::fputc(c, out);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      std::fprintf(out, "\\u%04x", static_cast<unsigned>(c));
-    } else {
-      std::fputc(c, out);
-    }
-  }
-  std::fputc('"', out);
-}
-
-}  // namespace
-
 void TraceSession::write_chrome_trace(std::FILE* out) const {
   std::vector<TraceEvent> all = events();
   std::stable_sort(all.begin(), all.end(),
@@ -175,9 +156,9 @@ void TraceSession::write_chrome_trace(std::FILE* out) const {
     comma();
     std::fprintf(out, "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"cat\": ",
                  e.track);
-    write_escaped(out, to_string(e.category));
+    write_json_string(out, to_string(e.category));
     std::fputs(", \"name\": ", out);
-    write_escaped(out, e.name);
+    write_json_string(out, e.name);
     // Chrome traces use microseconds; keep sub-µs resolution as a fraction.
     std::fprintf(out, ", \"ts\": %.3f, \"dur\": %.3f",
                  static_cast<double>(e.start_ns) / 1000.0,
@@ -186,7 +167,7 @@ void TraceSession::write_chrome_trace(std::FILE* out) const {
       std::fputs(", \"args\": {", out);
       for (int i = 0; i < e.arg_count; ++i) {
         if (i > 0) std::fputs(", ", out);
-        write_escaped(out, e.args[i].name);
+        write_json_string(out, e.args[i].name);
         std::fprintf(out, ": %lld", static_cast<long long>(e.args[i].value));
       }
       std::fputc('}', out);

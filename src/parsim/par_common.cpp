@@ -24,12 +24,11 @@ const SparseTensor& sparse_coo_view(const StoredTensor& x,
 
 Matrix local_sparse_mttkrp(const SparseTensor& block,
                            const std::vector<Matrix>& factors, int mode,
-                           StorageFormat format, SparseKernelVariant variant) {
+                           StorageFormat format) {
   if (format == StorageFormat::kCsf) {
-    return mttkrp_csf(CsfTensor::from_coo(block, mode), factors, mode,
-                      /*parallel=*/false, variant);
+    return mttkrp_csf(CsfTensor::from_coo(block, mode), factors, mode);
   }
-  return mttkrp_coo(block, factors, mode, /*parallel=*/false, variant);
+  return mttkrp_coo(block, factors, mode);
 }
 
 namespace {

@@ -33,22 +33,25 @@ const SparseTensor& sparse_coo_view(const StoredTensor& x,
 
 // Local MTTKRP on one process's (rebased) sparse block with the kernel
 // native to the input's storage format; CSF blocks are rooted at the output
-// mode, the per-mode ordering SPLATT uses. `variant` is the planner-chosen
-// sparse kernel schedule (ExecutionPlan::kernel_variant); kAuto keeps the
-// heuristic choice.
-Matrix local_sparse_mttkrp(
-    const SparseTensor& block, const std::vector<Matrix>& factors, int mode,
-    StorageFormat format,
-    SparseKernelVariant variant = SparseKernelVariant::kAuto);
+// mode, the per-mode ordering SPLATT uses.
+Matrix local_sparse_mttkrp(const SparseTensor& block,
+                           const std::vector<Matrix>& factors, int mode,
+                           StorageFormat format);
 
 // Fills the counter and timing fields every parallel driver result carries
-// (ParMttkrpResult, ParAllModesResult) from the transport.
+// (ParMttkrpResult, ParAllModesResult) from the transport. The counters and
+// seconds are the transport's running totals; `phases` holds only the
+// records from index `first_phase` on — the calling driver's own, when it
+// passes transport.phases().size() as read on entry.
 template <class Result>
-void fill_result_telemetry(const Transport& transport, Result& result) {
+void fill_result_telemetry(const Transport& transport,
+                           std::size_t first_phase, Result& result) {
   result.max_words_moved = transport.max_words_moved();
   result.max_messages = transport.max_messages_sent();
   result.total_words_sent = transport.total_words_sent();
-  result.phases = transport.phases();
+  const std::vector<PhaseRecord>& all = transport.phases();
+  result.phases.assign(
+      all.begin() + static_cast<std::ptrdiff_t>(first_phase), all.end());
   result.transport = transport.kind();
   result.comm_seconds = transport.comm_seconds();
   result.compute_seconds = transport.compute_seconds();

@@ -38,12 +38,13 @@ ParMttkrpResult stationary_impl(
     const std::vector<std::vector<Range>>& parts,
     const std::vector<SparseTensor>* local_blocks,
     const std::vector<std::vector<CsfTensor>>* forest,
-    const CollectiveSchedule& collectives, SparseKernelVariant variant) {
+    const CollectiveSchedule& collectives) {
   const index_t rank_r = check_mttkrp_args(x.dims(), factors, mode);
   const int n = x.order();
   const int p = grid.size();
   MTK_CHECK(transport.num_ranks() == p, "transport has ",
             transport.num_ranks(), " ranks but grid has ", p);
+  const std::size_t first_phase = transport.phases().size();
 
   const PhasePlan plan =
       stationary_phases(grid, parts, rank_r, mode, collectives);
@@ -60,8 +61,7 @@ ParMttkrpResult stationary_impl(
   // Phase 2 (Line 6): local MTTKRP on each rank's stationary block — dense
   // subtensor with the two-step algorithm, or the native COO/CSF kernel on
   // the rank's nonzeros. Runs on the transport's rank threads (or the
-  // simulator's OpenMP team), each rank serially with the planner-chosen
-  // kernel variant.
+  // simulator's OpenMP team), each rank's kernel serially.
   std::vector<Matrix> local_c(static_cast<std::size_t>(p));
   transport.run_ranks([&](int r) {
     const std::vector<int> coords = grid.coords(r);
@@ -85,11 +85,11 @@ ParMttkrpResult stationary_impl(
     } else if (forest != nullptr) {
       local_c[static_cast<std::size_t>(r)] = mttkrp_csf(
           (*forest)[static_cast<std::size_t>(r)][static_cast<std::size_t>(mode)],
-          local_factors, mode, /*parallel=*/false, variant);
+          local_factors, mode);
     } else {
       local_c[static_cast<std::size_t>(r)] = local_sparse_mttkrp(
           (*local_blocks)[static_cast<std::size_t>(r)], local_factors, mode,
-          x.format(), variant);
+          x.format());
     }
   });
 
@@ -102,7 +102,7 @@ ParMttkrpResult stationary_impl(
         return local_c[static_cast<std::size_t>(r)];
       },
       x.dim(mode), rank_r);
-  fill_result_telemetry(transport, result);
+  fill_result_telemetry(transport, first_phase, result);
   return result;
 }
 
@@ -115,7 +115,7 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
                                       const std::vector<int>& grid_shape,
                                       CollectiveSchedule collectives,
                                       SparsePartitionScheme scheme,
-                                      SparseKernelVariant kernel_variant) {
+                                      SparseKernelVariant) {
   check_stationary_grid(x, grid_shape);
   const ProcessorGrid grid(grid_shape);
   if (x.format() == StorageFormat::kDense) {
@@ -126,13 +126,13 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
           block_partition(x.dim(k), grid.extent(k));
     }
     return stationary_impl(transport, x, factors, mode, grid, parts, nullptr,
-                           nullptr, collectives, kernel_variant);
+                           nullptr, collectives);
   }
   SparseTensor expanded;
   const SparseDistribution dist =
       distribute_nonzeros(sparse_coo_view(x, expanded), grid, scheme);
   return stationary_impl(transport, x, factors, mode, grid, dist.mode_ranges,
-                         &dist.local, nullptr, collectives, kernel_variant);
+                         &dist.local, nullptr, collectives);
 }
 
 StationarySparsePlan plan_stationary_sparse(const StoredTensor& x,
@@ -169,7 +169,7 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
                                       const std::vector<int>& grid_shape,
                                       const StationarySparsePlan& plan,
                                       CollectiveSchedule collectives,
-                                      SparseKernelVariant kernel_variant) {
+                                      SparseKernelVariant) {
   MTK_CHECK(x.format() != StorageFormat::kDense,
             "a precomputed plan applies to sparse storage only");
   check_stationary_grid(x, grid_shape);
@@ -192,7 +192,7 @@ ParMttkrpResult par_mttkrp_stationary(Transport& transport,
             "plan forest does not match the grid");
   return stationary_impl(transport, x, factors, mode, grid, dist.mode_ranges,
                          &dist.local, use_forest ? &plan.forest : nullptr,
-                         collectives, kernel_variant);
+                         collectives);
 }
 
 ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
@@ -200,8 +200,7 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
                                    int mode,
                                    const std::vector<int>& grid_shape,
                                    CollectiveSchedule collectives,
-                                   SparsePartitionScheme scheme,
-                                   SparseKernelVariant kernel_variant) {
+                                   SparsePartitionScheme scheme) {
   const index_t rank_r = check_mttkrp_args(x.dims(), factors, mode);
   const int n = x.order();
   MTK_CHECK(static_cast<int>(grid_shape.size()) == n + 1,
@@ -212,6 +211,7 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
   const int p0 = grid.extent(0);
   MTK_CHECK(transport.num_ranks() == p, "transport has ",
             transport.num_ranks(), " ranks but grid has ", p);
+  const std::size_t first_phase = transport.phases().size();
   MTK_CHECK(p0 <= rank_r, "grid extent P0 = ", p0, " exceeds rank R = ",
             rank_r);
   for (int k = 0; k < n; ++k) {
@@ -356,12 +356,10 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
                  mode, {.algo = MttkrpAlgo::kTwoStep});
     } else if (x.format() == StorageFormat::kCsf) {
       local_c[static_cast<std::size_t>(r)] = mttkrp_csf(
-          fiber_trees[static_cast<std::size_t>(fiber)], local_factors, mode,
-          /*parallel=*/false, kernel_variant);
+          fiber_trees[static_cast<std::size_t>(fiber)], local_factors, mode);
     } else {
       local_c[static_cast<std::size_t>(r)] = mttkrp_coo(
-          fiber_blocks[static_cast<std::size_t>(fiber)], local_factors, mode,
-          /*parallel=*/false, kernel_variant);
+          fiber_blocks[static_cast<std::size_t>(fiber)], local_factors, mode);
     }
   });
 
@@ -374,7 +372,7 @@ ParMttkrpResult par_mttkrp_general(Transport& transport, const StoredTensor& x,
         return local_c[static_cast<std::size_t>(r)];
       },
       x.dim(mode), rank_r);
-  fill_result_telemetry(transport, result);
+  fill_result_telemetry(transport, first_phase, result);
   return result;
 }
 

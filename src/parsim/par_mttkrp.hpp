@@ -46,7 +46,7 @@ struct ParMttkrpResult {
   index_t max_words_moved = 0;     // bottleneck processor: sent + received
   index_t max_messages = 0;        // bottleneck processor: messages sent
   index_t total_words_sent = 0;    // machine-wide volume
-  std::vector<PhaseRecord> phases; // per-collective breakdown
+  std::vector<PhaseRecord> phases; // this call's per-collective breakdown
   TransportKind transport = TransportKind::kSim;  // backend that executed
   double comm_seconds = 0.0;     // measured wall-clock inside collectives
   double compute_seconds = 0.0;  // measured wall-clock inside local MTTKRP
@@ -60,14 +60,13 @@ struct ParMttkrpResult {
 // (q-1)/log2(q). `scheme` selects the sparse coordinate partition (ignored
 // for dense storage): kBlock matches the dense layout, kMediumGrained
 // balances nonzeros per process at the cost of uneven factor blocks.
-// `kernel_variant` is the planner-chosen sparse local-kernel schedule
-// (ExecutionPlan::kernel_variant); kAuto keeps the per-call heuristic.
 ParMttkrpResult par_mttkrp_stationary(
     Transport& transport, const StoredTensor& x,
     const std::vector<Matrix>& factors, int mode,
     const std::vector<int>& grid_shape,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
     SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
+    // Ignored; kept only as perfbench/src/{layers,serve_workload}.cpp name it.
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
 
 // Reusable per-process state for repeated stationary MTTKRPs on one sparse
@@ -92,6 +91,7 @@ ParMttkrpResult par_mttkrp_stationary(
     const std::vector<Matrix>& factors, int mode,
     const std::vector<int>& grid_shape, const StationarySparsePlan& plan,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
+    // Ignored; kept only as perfbench/src/{layers,serve_workload}.cpp name it.
     SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
 
 // Algorithm 4, storage-polymorphic. `grid_shape` must have N+1 entries
@@ -102,8 +102,7 @@ ParMttkrpResult par_mttkrp_general(
     const std::vector<Matrix>& factors, int mode,
     const std::vector<int>& grid_shape,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
-    SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
+    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock);
 
 // Convenience wrappers that run on a fresh SimTransport with prod(grid)
 // ranks.

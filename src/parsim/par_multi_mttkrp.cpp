@@ -17,11 +17,8 @@ namespace {
 std::vector<Matrix> local_sparse_all_modes(const SparseTensor& block,
                                            const std::vector<Matrix>& factors,
                                            StorageFormat format,
-                                           const CsfTensor* fused,
-                                           SparseKernelVariant variant) {
+                                           const CsfTensor* fused) {
   if (format == StorageFormat::kCsf) {
-    // The fused multi-tree walk has a single schedule; the variant knob
-    // applies to the per-mode kernels only.
     if (fused != nullptr) {
       return mttkrp_all_modes_fused(*fused, factors).outputs;
     }
@@ -32,8 +29,7 @@ std::vector<Matrix> local_sparse_all_modes(const SparseTensor& block,
   std::vector<Matrix> outputs;
   outputs.reserve(static_cast<std::size_t>(n));
   for (int mode = 0; mode < n; ++mode) {
-    outputs.push_back(
-        mttkrp_coo(block, factors, mode, /*parallel=*/false, variant));
+    outputs.push_back(mttkrp_coo(block, factors, mode));
   }
   return outputs;
 }
@@ -73,12 +69,12 @@ ParAllModesResult all_modes_impl(Transport& transport, const StoredTensor& x,
                                  const std::vector<std::vector<Range>>& parts,
                                  const std::vector<SparseTensor>* local_blocks,
                                  const std::vector<CsfTensor>* fused,
-                                 const CollectiveSchedule& collectives,
-                                 SparseKernelVariant variant) {
+                                 const CollectiveSchedule& collectives) {
   const int n = x.order();
   const int p = grid.size();
   MTK_CHECK(transport.num_ranks() == p, "transport has ",
             transport.num_ranks(), " ranks but grid has ", p);
+  const std::size_t first_phase = transport.phases().size();
   const bool dense = local_blocks == nullptr;
 
   const PhasePlan plan = all_modes_phases(grid, parts, rank, collectives);
@@ -119,8 +115,7 @@ ParAllModesResult all_modes_impl(Transport& transport, const StoredTensor& x,
           (*local_blocks)[static_cast<std::size_t>(r)], local_factors,
           x.format(),
           fused != nullptr ? &(*fused)[static_cast<std::size_t>(r)]
-                           : nullptr,
-          variant);
+                           : nullptr);
     }
   });
 
@@ -135,7 +130,7 @@ ParAllModesResult all_modes_impl(Transport& transport, const StoredTensor& x,
         },
         x.dim(mode), rank));
   }
-  fill_result_telemetry(transport, result);
+  fill_result_telemetry(transport, first_phase, result);
   return result;
 }
 
@@ -146,8 +141,7 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
                                        const std::vector<Matrix>& factors,
                                        const std::vector<int>& grid_shape,
                                        CollectiveSchedule collectives,
-                                       SparsePartitionScheme scheme,
-                                       SparseKernelVariant kernel_variant) {
+                                       SparsePartitionScheme scheme) {
   index_t rank = 0;
   check_all_modes_args(x, factors, grid_shape, &rank);
   const ProcessorGrid grid(grid_shape);
@@ -160,13 +154,13 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
           block_partition(x.dim(k), grid.extent(k));
     }
     return all_modes_impl(transport, x, factors, grid, rank, parts, nullptr,
-                          nullptr, collectives, kernel_variant);
+                          nullptr, collectives);
   }
   SparseTensor expanded;
   const SparseDistribution dist =
       distribute_nonzeros(sparse_coo_view(x, expanded), grid, scheme);
   return all_modes_impl(transport, x, factors, grid, rank, dist.mode_ranges,
-                        &dist.local, nullptr, collectives, kernel_variant);
+                        &dist.local, nullptr, collectives);
 }
 
 AllModesSparsePlan plan_all_modes_sparse(const StoredTensor& x,
@@ -195,8 +189,7 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
                                        const std::vector<Matrix>& factors,
                                        const std::vector<int>& grid_shape,
                                        const AllModesSparsePlan& plan,
-                                       CollectiveSchedule collectives,
-                                       SparseKernelVariant kernel_variant) {
+                                       CollectiveSchedule collectives) {
   MTK_CHECK(x.format() != StorageFormat::kDense,
             "a precomputed plan applies to sparse storage only");
   index_t rank = 0;
@@ -212,8 +205,7 @@ ParAllModesResult par_mttkrp_all_modes(Transport& transport,
             "plan fused forest does not match the grid");
   return all_modes_impl(transport, x, factors, grid, rank,
                         plan.dist.mode_ranges, &plan.dist.local,
-                        use_fused ? &plan.fused : nullptr, collectives,
-                        kernel_variant);
+                        use_fused ? &plan.fused : nullptr, collectives);
 }
 
 ParAllModesResult par_mttkrp_all_modes(const DenseTensor& x,

@@ -36,21 +36,17 @@ struct ParAllModesResult {
   index_t max_words_moved = 0;
   index_t max_messages = 0;        // bottleneck processor: messages sent
   index_t total_words_sent = 0;
-  std::vector<PhaseRecord> phases;
+  std::vector<PhaseRecord> phases; // this call's per-collective breakdown
   TransportKind transport = TransportKind::kSim;  // backend that executed
   double comm_seconds = 0.0;     // measured wall-clock inside collectives
   double compute_seconds = 0.0;  // measured wall-clock inside local MTTKRP
 };
 
-// `kernel_variant` is the planner-chosen sparse local-kernel schedule; it
-// reaches the per-mode COO kernel (the fused CSF walk has a single
-// schedule, so CSF storage ignores it here).
 ParAllModesResult par_mttkrp_all_modes(
     Transport& transport, const StoredTensor& x,
     const std::vector<Matrix>& factors, const std::vector<int>& grid_shape,
     CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock,
-    SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
+    SparsePartitionScheme scheme = SparsePartitionScheme::kBlock);
 
 // Reusable per-process state for repeated all-modes MTTKRPs on one sparse
 // tensor and grid (par_cp_gradient evaluates once per accepted iterate plus
@@ -73,8 +69,7 @@ ParAllModesResult par_mttkrp_all_modes(
     Transport& transport, const StoredTensor& x,
     const std::vector<Matrix>& factors, const std::vector<int>& grid_shape,
     const AllModesSparsePlan& plan,
-    CollectiveSchedule collectives = CollectiveKind::kBucket,
-    SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto);
+    CollectiveSchedule collectives = CollectiveKind::kBucket);
 
 // Convenience wrappers running on a fresh SimTransport of the grid's size.
 ParAllModesResult par_mttkrp_all_modes(const DenseTensor& x,

@@ -71,40 +71,12 @@ double Calibration::latency_word_ratio() const {
   return alpha_seconds / beta_seconds_per_word;
 }
 
-SparseKernelVariant Calibration::preferred_variant(
-    StorageFormat format) const {
-  if (!measured) return SparseKernelVariant::kAuto;
-  double tiled = 0.0;
-  double privatized = 0.0;
-  switch (format) {
-    case StorageFormat::kCoo:
-      tiled = coo_tiled_seconds_per_flop;
-      privatized = coo_privatized_seconds_per_flop;
-      break;
-    case StorageFormat::kCsf:
-      tiled = csf_tiled_seconds_per_flop;
-      privatized = csf_privatized_seconds_per_flop;
-      break;
-    case StorageFormat::kDense:
-      return SparseKernelVariant::kAuto;
-  }
-  if (tiled <= 0.0 || privatized <= 0.0) return SparseKernelVariant::kAuto;
-  return tiled <= privatized ? SparseKernelVariant::kTiled
-                             : SparseKernelVariant::kPrivatized;
-}
-
 bool Calibration::operator==(const Calibration& o) const {
   return alpha_seconds == o.alpha_seconds &&
          beta_seconds_per_word == o.beta_seconds_per_word &&
          dense_seconds_per_flop == o.dense_seconds_per_flop &&
          coo_seconds_per_flop == o.coo_seconds_per_flop &&
          csf_seconds_per_flop == o.csf_seconds_per_flop &&
-         coo_privatized_seconds_per_flop ==
-             o.coo_privatized_seconds_per_flop &&
-         coo_tiled_seconds_per_flop == o.coo_tiled_seconds_per_flop &&
-         csf_privatized_seconds_per_flop ==
-             o.csf_privatized_seconds_per_flop &&
-         csf_tiled_seconds_per_flop == o.csf_tiled_seconds_per_flop &&
          measured == o.measured;
 }
 
@@ -191,47 +163,9 @@ Calibration calibrate_machine(const CalibrateOptions& opts) {
         g_sink = b(0, 0);
       });
       cal.csf_seconds_per_flop = csf_secs / csf_flops;
-
-      // Per-variant parallel rates at the host's OpenMP thread count: the
-      // measured tiled-vs-privatized gap steers the planner's kernel
-      // schedule choice the same way the serial γ gap steers the backend.
-      const auto variant_rate = [&](auto&& run, double flops) {
-        return best_of(opts.repetitions, [&] {
-          const Matrix b = run();
-          g_sink = b(0, 0);
-        }) / flops;
-      };
-      cal.coo_privatized_seconds_per_flop = variant_rate(
-          [&] {
-            return mttkrp_coo(coo, factors, 0, /*parallel=*/true,
-                              SparseKernelVariant::kPrivatized);
-          },
-          coo_flops);
-      cal.coo_tiled_seconds_per_flop = variant_rate(
-          [&] {
-            return mttkrp_coo(coo, factors, 0, /*parallel=*/true,
-                              SparseKernelVariant::kTiled);
-          },
-          coo_flops);
-      cal.csf_privatized_seconds_per_flop = variant_rate(
-          [&] {
-            return mttkrp_csf(csf, factors, 0, /*parallel=*/true,
-                              SparseKernelVariant::kPrivatized);
-          },
-          csf_flops);
-      cal.csf_tiled_seconds_per_flop = variant_rate(
-          [&] {
-            return mttkrp_csf(csf, factors, 0, /*parallel=*/true,
-                              SparseKernelVariant::kTiled);
-          },
-          csf_flops);
     } else {
       cal.coo_seconds_per_flop = cal.dense_seconds_per_flop;
       cal.csf_seconds_per_flop = cal.dense_seconds_per_flop;
-      cal.coo_privatized_seconds_per_flop = cal.dense_seconds_per_flop;
-      cal.coo_tiled_seconds_per_flop = cal.dense_seconds_per_flop;
-      cal.csf_privatized_seconds_per_flop = cal.dense_seconds_per_flop;
-      cal.csf_tiled_seconds_per_flop = cal.dense_seconds_per_flop;
     }
   }
 
@@ -255,27 +189,14 @@ void print_calibration(const Calibration& cal, std::FILE* out) {
                cal.flop_word_ratio(StorageFormat::kDense),
                cal.flop_word_ratio(StorageFormat::kCoo),
                cal.flop_word_ratio(StorageFormat::kCsf));
-  std::fprintf(out, "  variants     : coo priv %.3e tiled %.3e -> %s, "
-                    "csf priv %.3e tiled %.3e -> %s\n",
-               cal.coo_privatized_seconds_per_flop,
-               cal.coo_tiled_seconds_per_flop,
-               to_string(cal.preferred_variant(StorageFormat::kCoo)),
-               cal.csf_privatized_seconds_per_flop,
-               cal.csf_tiled_seconds_per_flop,
-               to_string(cal.preferred_variant(StorageFormat::kCsf)));
 }
 
 void write_calibration(std::ostream& out, const Calibration& cal) {
-  char line[384];
-  std::snprintf(line, sizeof line,
-                "calibration %d %a %a %a %a %a %a %a %a %a\n",
+  char line[256];
+  std::snprintf(line, sizeof line, "calibration %d %a %a %a %a %a\n",
                 cal.measured ? 1 : 0, cal.alpha_seconds,
                 cal.beta_seconds_per_word, cal.dense_seconds_per_flop,
-                cal.coo_seconds_per_flop, cal.csf_seconds_per_flop,
-                cal.coo_privatized_seconds_per_flop,
-                cal.coo_tiled_seconds_per_flop,
-                cal.csf_privatized_seconds_per_flop,
-                cal.csf_tiled_seconds_per_flop);
+                cal.coo_seconds_per_flop, cal.csf_seconds_per_flop);
   out << line;
 }
 
@@ -291,17 +212,14 @@ bool parse_calibration(const std::string& payload, Calibration& cal) {
   double* fields[] = {&parsed.alpha_seconds, &parsed.beta_seconds_per_word,
                       &parsed.dense_seconds_per_flop,
                       &parsed.coo_seconds_per_flop,
-                      &parsed.csf_seconds_per_flop,
-                      &parsed.coo_privatized_seconds_per_flop,
-                      &parsed.coo_tiled_seconds_per_flop,
-                      &parsed.csf_privatized_seconds_per_flop,
-                      &parsed.csf_tiled_seconds_per_flop};
+                      &parsed.csf_seconds_per_flop};
   for (double* field : fields) {
     if (!(in >> token)) return false;
     char* end = nullptr;
     *field = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return false;
   }
+  if (in >> token) return false;  // trailing fields
   cal = parsed;
   return true;
 }

@@ -17,12 +17,6 @@
 //       kernels, measured per backend so the CSF-vs-COO trade-off in the
 //       planner reflects this machine, not the built-in constants.
 //
-// The calibration also times the *parallel* sparse kernels once per
-// reduction schedule (privatized scratch-and-merge vs owner-computed
-// tiles, src/mttkrp/sparse_kernels.hpp) so `plan_mttkrp` can pick
-// tiled-vs-privatized per backend from measured rates instead of a
-// hardcoded heuristic.
-//
 // A Calibration serializes into the persistent plan-cache file (hex floats,
 // bit-exact round-trip) so one `mttkrp_cli --calibrate` run serves every
 // later planning invocation on the same host.
@@ -42,12 +36,6 @@ struct Calibration {
   double dense_seconds_per_flop = 0.0;
   double coo_seconds_per_flop = 0.0;
   double csf_seconds_per_flop = 0.0;
-  // Parallel sparse-kernel rates per reduction schedule, measured at the
-  // host's OpenMP thread count (equal to the serial rates on one thread).
-  double coo_privatized_seconds_per_flop = 0.0;
-  double coo_tiled_seconds_per_flop = 0.0;
-  double csf_privatized_seconds_per_flop = 0.0;
-  double csf_tiled_seconds_per_flop = 0.0;
   bool measured = false;
 
   double seconds_per_flop(StorageFormat format) const;
@@ -56,11 +44,6 @@ struct Calibration {
   // score to pure communication, the paper's objective.
   double flop_word_ratio(StorageFormat format) const;
   double latency_word_ratio() const;
-
-  // The measured winner between the tiled and privatized parallel
-  // schedules for a sparse backend; kAuto when unmeasured, dense, or the
-  // probes are degenerate (the kernels then keep their own heuristic).
-  SparseKernelVariant preferred_variant(StorageFormat format) const;
 
   bool operator==(const Calibration& o) const;
   bool operator!=(const Calibration& o) const { return !(*this == o); }

@@ -90,10 +90,6 @@ std::uint64_t plan_cache_key(const StoredTensor& x, index_t rank,
   h.mix(opts.machine.dense_seconds_per_flop);
   h.mix(opts.machine.coo_seconds_per_flop);
   h.mix(opts.machine.csf_seconds_per_flop);
-  h.mix(opts.machine.coo_privatized_seconds_per_flop);
-  h.mix(opts.machine.coo_tiled_seconds_per_flop);
-  h.mix(opts.machine.csf_privatized_seconds_per_flop);
-  h.mix(opts.machine.csf_tiled_seconds_per_flop);
   h.mix(static_cast<std::uint64_t>(opts.reuse_count));
   // Sketch knobs enter the fingerprint only when set: exact-execution
   // queries (epsilon = 0) keep the hash they had before the knobs existed.
@@ -323,10 +319,6 @@ bool PlanCache::save(const std::string& path,
     put(body, k.machine.dense_seconds_per_flop);
     put(body, k.machine.coo_seconds_per_flop);
     put(body, k.machine.csf_seconds_per_flop);
-    put(body, k.machine.coo_privatized_seconds_per_flop);
-    put(body, k.machine.coo_tiled_seconds_per_flop);
-    put(body, k.machine.csf_privatized_seconds_per_flop);
-    put(body, k.machine.csf_tiled_seconds_per_flop);
     put(body, k.reuse_count);
     put(body, k.epsilon);
     put(body, k.sample_count);
@@ -348,7 +340,6 @@ bool PlanCache::save(const std::string& path,
       put(body, static_cast<int>(plan.algo));
       put(body, static_cast<int>(plan.backend));
       put(body, static_cast<int>(plan.scheme));
-      put(body, static_cast<int>(plan.kernel_variant));
       put(body, static_cast<int>(plan.collectives.tensor));
       put(body, static_cast<int>(plan.collectives.factor));
       put(body, static_cast<int>(plan.collectives.output));
@@ -514,10 +505,6 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
     k.machine.dense_seconds_per_flop = kp.dbl();
     k.machine.coo_seconds_per_flop = kp.dbl();
     k.machine.csf_seconds_per_flop = kp.dbl();
-    k.machine.coo_privatized_seconds_per_flop = kp.dbl();
-    k.machine.coo_tiled_seconds_per_flop = kp.dbl();
-    k.machine.csf_privatized_seconds_per_flop = kp.dbl();
-    k.machine.csf_tiled_seconds_per_flop = kp.dbl();
     k.reuse_count = kp.i32();
     k.epsilon = kp.dbl();
     k.sample_count = kp.idx();
@@ -548,7 +535,6 @@ bool PlanCache::load(const std::string& path, Calibration* calibration) {
       plan.algo = pp.enum_of<ParAlgo>(2);
       plan.backend = pp.enum_of<StorageFormat>(2);
       plan.scheme = pp.enum_of<SparsePartitionScheme>(1);
-      plan.kernel_variant = pp.enum_of<SparseKernelVariant>(3);
       plan.collectives.tensor = pp.enum_of<CollectiveKind>(1);
       plan.collectives.factor = pp.enum_of<CollectiveKind>(1);
       plan.collectives.output = pp.enum_of<CollectiveKind>(1);

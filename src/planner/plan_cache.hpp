@@ -35,7 +35,7 @@ class PlanCache {
  public:
   // Bump when the on-disk layout or any serialized enum changes. The
   // reader accepts this version only; any other degrades to a cold cache.
-  static constexpr int kFileVersion = 3;
+  static constexpr int kFileVersion = 4;
   // Returns the cached report for this (tensor, rank, options) key, planning
   // on a miss. The CSF path expands to COO once per *miss* only.
   std::shared_ptr<const PlanReport> get_or_plan(const StoredTensor& x,

@@ -316,7 +316,6 @@ PlanReport plan_impl(const PredictProblem& p, const PlannerOptions& opts) {
       plan.backend = backend;
       plan.grid = cand.grid;
       plan.scheme = cand.scheme;
-      plan.kernel_variant = opts.machine.preferred_variant(backend);
       plan.collectives = sched;
       plan.comm = comm;
       plan.nnz_stats = stats;
@@ -522,11 +521,6 @@ void print_plan_report(const PlanReport& report, std::FILE* out) {
     std::fprintf(out, " words (%s), lower bound %.0f words\n",
                  best.comm.exact ? "exact replay" : "balanced model",
                  best.lower_bound);
-    if (best.kernel_variant != SparseKernelVariant::kAuto) {
-      std::fprintf(out, "local kernel   : %s %s (calibrated)\n",
-                   to_string(best.backend),
-                   to_string(best.kernel_variant));
-    }
     if (best.path == ExecutionPath::kSampled) {
       std::fprintf(out,
                    "sampled path   : S = %lld KRP rows per MTTKRP, "

@@ -94,12 +94,7 @@ struct ExecutionPlan {
   StorageFormat backend = StorageFormat::kDense;
   std::vector<int> grid;  // N extents (N+1 with P0 first for kGeneral)
   SparsePartitionScheme scheme = SparsePartitionScheme::kBlock;
-  // Shared-memory reduction schedule for the plan's local sparse kernels,
-  // taken from the calibration's measured tiled-vs-privatized rates for
-  // this backend (kAuto when unmeasured or dense: the kernels keep their
-  // own heuristic). The simulator's per-rank local kernels run serially,
-  // so this is advisory there; the threaded entry points (mttkrp dispatch,
-  // cp_als with MttkrpOptions::parallel) honor it directly.
+  // Ignored; kept only as perfbench/src/{layers,serve_workload}.cpp name it.
   SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto;
   // Per-phase collective choice (bucket ring vs recursive doubling/halving)
   // the plan's run must use for the prediction to stay word- and

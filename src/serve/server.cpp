@@ -81,30 +81,8 @@ Histogram& queue_wait_histogram() {
 
 // ---------------------------------------------------------------------------
 // Hand-rolled JSON emission, like every other emitter in this repo (the
-// parser in src/support/json is the read side).
-
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
+// parser in src/support/json is the read side; strings go through its
+// append_json_string).
 
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
@@ -221,7 +199,6 @@ struct MttkrpServer::Request {
 
   // Admission-time plan lookup results (data-plane ops only).
   double predicted_cost = 0.0;
-  SparseKernelVariant kernel_variant = SparseKernelVariant::kAuto;
 
   // Robustness state.
   double deadline_ms = 0.0;  // effective deadline (request or server default)
@@ -499,12 +476,10 @@ std::future<std::string> MttkrpServer::submit(const std::string& line) {
       auto report =
           PlanCache::global().get_or_plan(version->handle, req->rank, popts);
       req->predicted_cost = report->best().score;
-      req->kernel_variant = report->best().kernel_variant;
     } catch (const std::exception&) {
       // Infeasible grid at this plan_procs (tiny tensor): no cost estimate;
-      // admit and run with the kernels' own heuristics.
+      // admit.
       req->predicted_cost = 0.0;
-      req->kernel_variant = SparseKernelVariant::kAuto;
     }
     if (opts_.admit_max_cost > 0.0 &&
         req->predicted_cost > opts_.admit_max_cost) {
@@ -801,7 +776,6 @@ std::string MttkrpServer::execute_mttkrp(
   kopts.sparse_algo = version->backend == StorageFormat::kCsf
                           ? SparseMttkrpAlgo::kCsf
                           : SparseMttkrpAlgo::kCoo;
-  kopts.kernel_variant = req.kernel_variant;
   kopts.parallel = opts_.local_threads > 0;
 
   Matrix m;
@@ -872,7 +846,6 @@ std::string MttkrpServer::execute_refine(
   copts.mttkrp.sparse_algo = version->backend == StorageFormat::kCsf
                                  ? SparseMttkrpAlgo::kCsf
                                  : SparseMttkrpAlgo::kCoo;
-  copts.mttkrp.kernel_variant = req.kernel_variant;
   copts.mttkrp.parallel = opts_.local_threads > 0;
   if (req.epsilon > 0.0) {
     copts.sketch.epsilon = req.epsilon;

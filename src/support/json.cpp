@@ -9,6 +9,35 @@
 
 namespace mtk {
 
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
+          out += buf;
+        } else {
+          out.push_back(ch);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+void write_json_string(std::FILE* out, std::string_view s) {
+  std::string literal;
+  append_json_string(literal, s);
+  std::fwrite(literal.data(), 1, literal.size(), out);
+}
+
 bool JsonValue::as_bool() const {
   MTK_CHECK(type_ == Type::kBool, "JSON value is not a bool");
   return bool_;

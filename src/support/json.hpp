@@ -3,14 +3,26 @@
 // snapshots, Chrome trace-event files). The emitters write JSON by hand —
 // this is the read side, used by tools/validate_telemetry and the
 // observability tests. Parse errors throw with a line/column position.
+//
+// The one piece of the write side every emitter shares is the string
+// escaper below (serve responses, metrics snapshots, Chrome traces).
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace mtk {
+
+// Appends `s` as a JSON string literal: quotes, backslashes and control
+// characters are escaped (\n, \r, \t short forms, \u00XX for the rest);
+// every other byte is copied as is.
+void append_json_string(std::string& out, std::string_view s);
+// The same literal written to a stream.
+void write_json_string(std::FILE* out, std::string_view s);
 
 class JsonValue {
  public:

@@ -1,14 +1,10 @@
 #include "src/tensor/csf_set.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 namespace mtk {
 
 const char* to_string(CsfSetPolicy policy) {
   switch (policy) {
     case CsfSetPolicy::kOnePerMode: return "one-per-mode";
-    case CsfSetPolicy::kHybrid: return "hybrid";
     case CsfSetPolicy::kSingle: return "single";
   }
   return "unknown";
@@ -29,38 +25,6 @@ CsfSet CsfSet::build(const SparseTensor& coo, CsfSetPolicy policy) {
       for (int mode = 0; mode < n; ++mode) {
         set.trees_.push_back(CsfTensor::from_coo(coo, mode));
         set.tree_of_mode_[static_cast<std::size_t>(mode)] = mode;
-      }
-      break;
-    }
-    case CsfSetPolicy::kHybrid: {
-      // Sort modes by dimension and pair smallest (root) with largest
-      // (leaf); the SPLATT rooting heuristic applied pairwise. An odd
-      // middle mode gets its own root-rooted tree.
-      std::vector<int> by_dim(static_cast<std::size_t>(n));
-      std::iota(by_dim.begin(), by_dim.end(), 0);
-      std::stable_sort(by_dim.begin(), by_dim.end(), [&](int a, int b) {
-        return coo.dim(a) < coo.dim(b);
-      });
-      for (int i = 0; 2 * i < n; ++i) {
-        const int root = by_dim[static_cast<std::size_t>(i)];
-        const int leaf = by_dim[static_cast<std::size_t>(n - 1 - i)];
-        const int t = static_cast<int>(set.trees_.size());
-        if (root == leaf) {  // odd middle mode
-          set.trees_.push_back(CsfTensor::from_coo(coo, root));
-          set.tree_of_mode_[static_cast<std::size_t>(root)] = t;
-          break;
-        }
-        // Remaining modes keep the increasing-dimension order between the
-        // pinned root and leaf.
-        std::vector<int> order{root};
-        for (int j = 0; j < n; ++j) {
-          const int m = by_dim[static_cast<std::size_t>(j)];
-          if (m != root && m != leaf) order.push_back(m);
-        }
-        order.push_back(leaf);
-        set.trees_.push_back(CsfTensor::from_coo_ordered(coo, order));
-        set.tree_of_mode_[static_cast<std::size_t>(root)] = t;
-        set.tree_of_mode_[static_cast<std::size_t>(leaf)] = t;
       }
       break;
     }
@@ -97,12 +61,6 @@ const CsfTensor& CsfSet::tree_for(int mode) const {
             " out of range for order-", order(), " set");
   return trees_[static_cast<std::size_t>(
       tree_of_mode_[static_cast<std::size_t>(mode)])];
-}
-
-index_t CsfSet::storage_words() const {
-  index_t words = 0;
-  for (const CsfTensor& t : trees_) words += t.storage_words();
-  return words;
 }
 
 }  // namespace mtk

@@ -2,16 +2,10 @@
 // tensor, built once instead of once per MTTKRP call (the seed dispatch
 // rebuilt `CsfTensor::from_coo(coo, mode)` on every kCsf call).
 //
-// Three policies, after SPLATT (Smith & Karypis):
+// Two policies, after SPLATT (Smith & Karypis):
 //   kOnePerMode — N trees, tree k rooted at mode k. Every per-mode MTTKRP
 //                 (the CP-ALS inner loop) hits the root-level owner-computes
 //                 fast path: threads own disjoint output rows, no reduction.
-//   kHybrid     — ceil(N/2) trees. Modes are sorted by dimension and paired
-//                 smallest-with-largest; each pair shares one tree with the
-//                 small mode pinned at the root and the large one at the
-//                 leaf level, the two levels with owner-computes-friendly
-//                 kernels. Halves the tree storage and build time of
-//                 kOnePerMode at the cost of leaf-target traversals.
 //   kSingle     — one tree rooted at the smallest mode. This is the layout
 //                 the fused all-modes kernel (mttkrp_all_modes on a CsfSet,
 //                 src/mttkrp/sparse_kernels.hpp) wants: one walk computes
@@ -26,7 +20,7 @@
 
 namespace mtk {
 
-enum class CsfSetPolicy { kOnePerMode, kHybrid, kSingle };
+enum class CsfSetPolicy { kOnePerMode, kSingle };
 
 const char* to_string(CsfSetPolicy policy);
 
@@ -52,12 +46,8 @@ class CsfSet {
   const CsfTensor& tree(int i) const;
 
   // The tree serving `mode` under this policy (the one where `mode` sits at
-  // the cheapest level: root for kOnePerMode, root or leaf for kHybrid, the
-  // single tree for kSingle).
+  // the cheapest level: root for kOnePerMode, the single tree for kSingle).
   const CsfTensor& tree_for(int mode) const;
-
-  // Sum of per-tree storage; the kOnePerMode-vs-kHybrid trade-off.
-  index_t storage_words() const;
 
  private:
   CsfSetPolicy policy_ = CsfSetPolicy::kOnePerMode;

@@ -34,21 +34,10 @@ TEST(Calibrate, ProbesProducePositiveFiniteParameters) {
   for (const double v :
        {cal.alpha_seconds, cal.beta_seconds_per_word,
         cal.dense_seconds_per_flop, cal.coo_seconds_per_flop,
-        cal.csf_seconds_per_flop, cal.coo_privatized_seconds_per_flop,
-        cal.coo_tiled_seconds_per_flop, cal.csf_privatized_seconds_per_flop,
-        cal.csf_tiled_seconds_per_flop}) {
+        cal.csf_seconds_per_flop}) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GT(v, 0.0);
   }
-  // The measured variant rates must resolve to a definite tiled-or-
-  // privatized recommendation for both sparse backends.
-  for (const StorageFormat f : {StorageFormat::kCoo, StorageFormat::kCsf}) {
-    const SparseKernelVariant v = cal.preferred_variant(f);
-    EXPECT_TRUE(v == SparseKernelVariant::kTiled ||
-                v == SparseKernelVariant::kPrivatized);
-  }
-  EXPECT_EQ(cal.preferred_variant(StorageFormat::kDense),
-            SparseKernelVariant::kAuto);
   EXPECT_TRUE(std::isfinite(cal.latency_word_ratio()));
   EXPECT_GT(cal.latency_word_ratio(), 0.0);
   for (const StorageFormat f :
@@ -65,11 +54,7 @@ TEST(Calibrate, SerializationRoundTripsBitExactly) {
   cal.beta_seconds_per_word = 7.0 / 11.0 * 1e-9;
   cal.dense_seconds_per_flop = 1.0e-10;
   cal.coo_seconds_per_flop = 1.3e-10;
-  cal.csf_seconds_per_flop = 0.9e-10;
-  cal.coo_privatized_seconds_per_flop = 1.0 / 7.0 * 1e-9;
-  cal.coo_tiled_seconds_per_flop = 1.0 / 13.0 * 1e-9;
-  cal.csf_privatized_seconds_per_flop = 1.0 / 17.0 * 1e-9;
-  cal.csf_tiled_seconds_per_flop = 1.0 / 19.0 * 1e-9;
+  cal.csf_seconds_per_flop = 1.0 / 7.0 * 1e-9;
   cal.measured = true;
 
   std::ostringstream out;
@@ -87,12 +72,13 @@ TEST(Calibrate, MalformedPayloadsRejectedWithoutSideEffects) {
   cal.alpha_seconds = 42.0;
   for (const char* payload :
        {"", "1",
-        // Too few fields (the seed's 5-double layout must now be rejected).
-        "1 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3",
-        "2 1 1 1 1 1 1 1 1 1",
-        "1 0x1p-3 junk 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3",
-        "yes 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 "
-        "0x1p-3"}) {
+        // Too few fields.
+        "1 0x1p-3 0x1p-3 0x1p-3 0x1p-3",
+        // Too many: the 9-double layout that carried per-variant rates.
+        "1 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3",
+        "2 1 1 1 1 1",
+        "1 0x1p-3 junk 0x1p-3 0x1p-3 0x1p-3",
+        "yes 0x1p-3 0x1p-3 0x1p-3 0x1p-3 0x1p-3"}) {
     EXPECT_FALSE(parse_calibration(payload, cal)) << payload;
     EXPECT_DOUBLE_EQ(cal.alpha_seconds, 42.0) << payload;
   }

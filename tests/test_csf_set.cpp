@@ -46,24 +46,6 @@ TEST(CsfSet, OnePerModeRootsEveryModeAtItsTree) {
   }
 }
 
-TEST(CsfSet, HybridHalvesTheTreesAndPinsRootOrLeaf) {
-  for (const shape_t& dims : {shape_t{6, 5, 7}, shape_t{6, 5, 7, 4},
-                              shape_t{4, 3, 5, 3, 4}}) {
-    const Problem p = make_problem(dims, 2, 0.08, 9007);
-    const CsfSet set = CsfSet::build(p.coo, CsfSetPolicy::kHybrid);
-    const int n = static_cast<int>(dims.size());
-    EXPECT_EQ(set.tree_count(), (n + 1) / 2);
-    for (int mode = 0; mode < n; ++mode) {
-      const int level = set.tree_for(mode).level_of_mode(mode);
-      EXPECT_TRUE(level == 0 || level == n - 1)
-          << "mode " << mode << " sits at interior level " << level;
-    }
-    // The storage saving is the policy's point.
-    const CsfSet full = CsfSet::build(p.coo, CsfSetPolicy::kOnePerMode);
-    EXPECT_LT(set.storage_words(), full.storage_words());
-  }
-}
-
 TEST(CsfSet, SinglePolicyAndAdoptHoldOneTree) {
   const Problem p = make_problem({5, 6, 4}, 2, 0.1, 9011);
   const CsfSet single = CsfSet::build(p.coo, CsfSetPolicy::kSingle);
@@ -95,7 +77,6 @@ TEST_P(CsfSetPolicies, PerModeMttkrpMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Policies, CsfSetPolicies,
                          ::testing::Values(CsfSetPolicy::kOnePerMode,
-                                           CsfSetPolicy::kHybrid,
                                            CsfSetPolicy::kSingle));
 
 // ---------------------------------------------------------------------------

@@ -280,6 +280,56 @@ TEST(ParPhasePlan, ParCpAlsRecordsAreThePlannedPhases) {
   }
 }
 
+// Drivers sharing one transport (par_cp_als runs N per mode per iteration)
+// each return only the phases of their own call, while the transport keeps
+// the whole run's records.
+TEST(ParPhasePlan, ResultsOnOneTransportCarryOnlyTheirOwnPhases) {
+  const Inputs& in = inputs();
+  const std::vector<int> grid = {2, 2, 2};
+  const std::vector<int> general_grid = {2, 2, 1, 2};
+  const ProcessorGrid pgrid(grid);
+  const CollectiveKind kind = CollectiveKind::kBucket;
+  const auto parts = partitions(StorageFormat::kCoo, grid,
+                                SparsePartitionScheme::kBlock);
+  const std::vector<int> sub_shape(general_grid.begin() + 1,
+                                   general_grid.end());
+  const ProcessorGrid sub_grid(sub_shape);
+  const auto sub_parts = partitions(StorageFormat::kCoo, sub_shape,
+                                    SparsePartitionScheme::kBlock);
+  const std::vector<index_t> block_nnz =
+      count_block_nnz(in.coo, sub_grid, sub_parts).per_block;
+  const StoredTensor x = in.view(StorageFormat::kCoo);
+
+  for (TransportKind transport :
+       {TransportKind::kSim, TransportKind::kThreads}) {
+    const std::string what = to_string(transport);
+    const auto t = make_transport(transport, pgrid.size());
+    const ParMttkrpResult first =
+        par_mttkrp_stationary(*t, x, in.factors, 0, grid, kind);
+    expect_records_match(stationary_phases(pgrid, parts, kRank, 0, kind),
+                         first.phases, pgrid.size(), what + " first call");
+    const ParMttkrpResult second =
+        par_mttkrp_stationary(*t, x, in.factors, 1, grid, kind);
+    expect_records_match(stationary_phases(pgrid, parts, kRank, 1, kind),
+                         second.phases, pgrid.size(), what + " second call");
+    const ParAllModesResult all =
+        par_mttkrp_all_modes(*t, x, in.factors, grid, kind);
+    expect_records_match(all_modes_phases(pgrid, parts, kRank, kind),
+                         all.phases, pgrid.size(), what + " all-modes call");
+    const ParMttkrpResult general =
+        par_mttkrp_general(*t, x, in.factors, 2, general_grid, kind);
+    expect_records_match(
+        general_phases(ProcessorGrid(general_grid), sub_parts, kRank,
+                       tensor_fiber_words(sub_grid, sub_parts, &block_nnz), 2,
+                       kind),
+        general.phases, pgrid.size(), what + " general call");
+    EXPECT_EQ(t->phases().size(), first.phases.size() +
+                                      second.phases.size() +
+                                      all.phases.size() +
+                                      general.phases.size());
+  }
+}
+
 TEST(ParPhasePlan, ExecutorsRejectPayloadsOffThePlan) {
   SimTransport t(4);
   const Phase gram = gram_phase(4, 3, CollectiveKind::kBucket);

@@ -87,7 +87,6 @@ TEST_F(PlanCacheIo, RoundTripServesHitsWithIdenticalReports) {
     EXPECT_EQ(a.backend, b.backend);
     EXPECT_EQ(a.grid, b.grid);
     EXPECT_EQ(a.scheme, b.scheme);
-    EXPECT_EQ(a.kernel_variant, b.kernel_variant);
     EXPECT_TRUE(a.collectives == b.collectives);
     EXPECT_EQ(a.comm.words, b.comm.words);
     EXPECT_EQ(a.comm.messages, b.comm.messages);
@@ -114,10 +113,6 @@ TEST_F(PlanCacheIo, CalibrationTravelsWithTheFile) {
   cal.dense_seconds_per_flop = 1.0e-10;
   cal.coo_seconds_per_flop = 1.5e-10;
   cal.csf_seconds_per_flop = 0.75e-10;
-  cal.coo_privatized_seconds_per_flop = 1.6e-10;
-  cal.coo_tiled_seconds_per_flop = 0.8e-10;
-  cal.csf_privatized_seconds_per_flop = 1.1e-10;
-  cal.csf_tiled_seconds_per_flop = 0.5e-10;
   cal.measured = true;
   ASSERT_TRUE(cache.save(file.path(), &cal));
 
@@ -154,6 +149,40 @@ TEST_F(PlanCacheIo, VersionMismatchDegradesToCold) {
   // A cold cache still *works* — the next lookup just re-plans.
   reloaded.get_or_plan(StoredTensor::coo_view(coo_), 4, opts_);
   EXPECT_EQ(reloaded.misses(), 1u);
+}
+
+// Version 4 dropped the calibration's per-schedule kernel rates and the
+// plan's kernel schedule field. A file saved at version 4 starts with that
+// header and round-trips; one written at version 3 (the older layout) loads
+// cold.
+TEST_F(PlanCacheIo, Version3FileLoadsColdAndVersion4RoundTrips) {
+  ScratchFile file("plan_cache_v3.txt");
+  PlanCache cache;
+  warm(cache);
+  Calibration cal;
+  cal.measured = true;
+  cal.beta_seconds_per_word = 1e-9;
+  ASSERT_TRUE(cache.save(file.path(), &cal));
+  std::string content = slurp(file.path());
+  ASSERT_EQ(content.compare(0, 15, "mtkplancache 4\n"), 0);
+
+  PlanCache current;
+  Calibration restored;
+  ASSERT_TRUE(current.load(file.path(), &restored));
+  EXPECT_EQ(current.size(), cache.size());
+  EXPECT_TRUE(restored == cal);
+
+  // The version-3 calibration line carried four more rates.
+  content.replace(0, 15, "mtkplancache 3\n");
+  const std::size_t cal_end = content.find('\n', 15);
+  content.insert(cal_end, " 0x1p-30 0x1p-30 0x1p-30 0x1p-30");
+  spit(file.path(), content);
+  PlanCache older;
+  warm(older);
+  Calibration untouched;
+  EXPECT_FALSE(older.load(file.path(), &untouched));
+  EXPECT_EQ(older.size(), 0u);
+  EXPECT_FALSE(untouched.measured);
 }
 
 TEST_F(PlanCacheIo, TruncationDegradesToCold) {

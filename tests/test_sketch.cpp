@@ -2,7 +2,7 @@
 // leverage scores against a brute-force pseudo-inverse, unbiasedness and
 // S-convergence of the sampled MTTKRP on every storage format, sketched
 // normal equations against the exact ones, sampled CP-ALS fit against the
-// exact driver, and the plan-cache v2 -> v3 migration. Every randomized
+// exact driver, and plan-cache persistence of sampled plans. Every randomized
 // check is seeded and uses medians over repeated trials, so the assertions
 // are deterministic.
 #include <gtest/gtest.h>
@@ -528,12 +528,13 @@ TEST_F(SketchPlanCache, SampledPlansRoundTripThroughTheFile) {
   sketchy.epsilon = 0.2;
   const auto planned =
       cache.get_or_plan(StoredTensor::coo_view(coo), 4, sketchy);
-  const std::string path = scratch("sketch_cache_v3.txt");
+  const std::string path = scratch("sketch_cache.txt");
   ASSERT_TRUE(cache.save(path));
   std::ifstream in(path);
   std::string header;
   std::getline(in, header);
-  EXPECT_EQ(header, "mtkplancache 3");
+  EXPECT_EQ(header,
+            "mtkplancache " + std::to_string(PlanCache::kFileVersion));
 
   PlanCache reloaded;
   ASSERT_TRUE(reloaded.load(path));

@@ -241,27 +241,6 @@ TEST(TransportDrivers, AllModesAgreesAcrossBackends) {
   }
 }
 
-// The planner-chosen kernel variant must not perturb cross-backend
-// agreement: both transports run the same explicit schedule.
-TEST(TransportDrivers, ExplicitKernelVariantStillAgrees) {
-  const SparseProblem p = make_problem({6, 5, 7}, 3, 31);
-  const std::vector<int> grid{2, 1, 2};
-  for (SparseKernelVariant variant :
-       {SparseKernelVariant::kPrivatized, SparseKernelVariant::kAtomic,
-        SparseKernelVariant::kTiled}) {
-    SimTransport sim(4);
-    ThreadTransport thr(4);
-    const ParMttkrpResult r_sim = par_mttkrp_stationary(
-        sim, StoredTensor::coo_view(p.coo), p.factors, 0, grid,
-        CollectiveKind::kBucket, SparsePartitionScheme::kBlock, variant);
-    const ParMttkrpResult r_thr = par_mttkrp_stationary(
-        thr, StoredTensor::coo_view(p.coo), p.factors, 0, grid,
-        CollectiveKind::kBucket, SparsePartitionScheme::kBlock, variant);
-    expect_bits_equal(r_sim.b, r_thr.b);
-    expect_same_stats(sim, thr);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // CountingTransport: the words-match-the-model assertion wrapper.
 

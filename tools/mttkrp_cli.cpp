@@ -103,7 +103,7 @@ int usage(const char* argv0) {
       "          [--flop-word-ratio F] [--latency-word-ratio L]\n"
       "          [--calibrate] [--cache-file FILE]\n"
       "          [--cp-als] [--iters N] [--tol T] [--save-tns FILE]\n"
-      "          [--threads T] [--variant V] [--memory M] [--trace]\n"
+      "          [--threads T] [--memory M] [--trace]\n"
       "          [--epsilon E] [--sample-count S] [--seed S]\n"
       "  --dims     tensor dimensions for a random problem, comma separated\n"
       "  --tns      load a FROSTT .tns coordinate file instead\n"
@@ -164,11 +164,8 @@ int usage(const char* argv0) {
       "  --tol      CP-ALS fit tolerance, default 1e-6\n"
       "  --save-tns write the (sparse) tensor to a .tns file and exit\n"
       "  --threads  run the local (non-simulated) kernels with T OpenMP\n"
-      "             threads; the sparse reduction schedule defaults to the\n"
-      "             calibration's measured preference when one is loaded\n"
-      "             (--calibrate / --cache-file), else the kernel heuristic\n"
-      "  --variant  sparse kernel schedule override for --threads runs:\n"
-      "             auto|privatized|atomic|tiled\n"
+      "             threads; each sparse kernel picks its own reduction\n"
+      "             schedule\n"
       "  --memory   fast-memory words for block-size selection/trace,\n"
       "             default 2^20\n"
       "  --trace    also simulate the two-level memory traffic and print\n"
@@ -227,8 +224,6 @@ int main(int argc, char** argv) {
   index_t memory = index_t{1} << 20;
   bool trace = false;
   int local_threads = 0;
-  SparseKernelVariant variant = SparseKernelVariant::kAuto;
-  bool variant_set = false;
   double epsilon = 0.0;
   index_t sample_count = 0;
   std::uint64_t seed = 1;
@@ -298,21 +293,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--threads") {
         local_threads = std::stoi(next());
         MTK_CHECK(local_threads >= 1, "--threads must be >= 1");
-      } else if (arg == "--variant") {
-        const std::string v = next();
-        variant_set = true;
-        if (v == "auto") {
-          variant = SparseKernelVariant::kAuto;
-        } else if (v == "privatized") {
-          variant = SparseKernelVariant::kPrivatized;
-        } else if (v == "atomic") {
-          variant = SparseKernelVariant::kAtomic;
-        } else if (v == "tiled") {
-          variant = SparseKernelVariant::kTiled;
-        } else {
-          MTK_CHECK(false, "unknown --variant '", v,
-                    "' (auto|privatized|atomic|tiled)");
-        }
       } else if (arg == "--memory") {
         memory = std::stoll(next());
       } else if (arg == "--trace") {
@@ -445,11 +425,7 @@ int main(int argc, char** argv) {
                   PlanCache::global().hits() > hits_before ? "hit" : "miss");
     };
 
-    // Local (non-simulated) kernel schedule: --threads enables the threaded
-    // sparse kernels; the reduction schedule comes from --variant when
-    // given, otherwise from the measured calibration's tiled-vs-privatized
-    // preference for this backend (the executable consumer of
-    // Calibration::preferred_variant / ExecutionPlan::kernel_variant).
+    // Local (non-simulated) kernels: --threads enables the threaded kernels.
     MttkrpOptions local_opts;
     local_opts.algo = algo;
     local_opts.fast_memory_words = memory;
@@ -458,15 +434,6 @@ int main(int argc, char** argv) {
       omp_set_num_threads(local_threads);
 #endif
       local_opts.parallel = true;
-      local_opts.kernel_variant =
-          variant_set ? variant : cal.preferred_variant(backend);
-      if (backend != StorageFormat::kDense) {
-        std::printf("local kernels  : %d threads, %s variant%s\n",
-                    local_threads, to_string(local_opts.kernel_variant),
-                    variant_set ? ""
-                    : cal.measured ? " (calibrated)"
-                                   : " (heuristic)");
-      }
     }
 
     PlannerOptions popts;
@@ -514,7 +481,6 @@ int main(int argc, char** argv) {
       opts.latency_word_ratio = latency_word_ratio;
       opts.machine = cal;
       opts.transport = transport;
-      if (variant_set) opts.kernel_variant = variant;
       // --verify-counts / --drift-report need access to the transport after
       // the run (shadow counters, recorded phases), so the CLI owns it and
       // lends it to the solver. Planner grids are exact factorizations of
@@ -662,11 +628,10 @@ int main(int argc, char** argv) {
       const ParMttkrpResult r =
           plan.algo == ParAlgo::kGeneral
               ? par_mttkrp_general(*tp, x_run, factors, mode, plan.grid,
-                                   plan.collectives, plan.scheme,
-                                   plan.kernel_variant)
+                                   plan.collectives, plan.scheme)
               : par_mttkrp_stationary(*tp, x_run, factors, mode,
                                       plan.grid, plan.collectives,
-                                      plan.scheme, plan.kernel_variant);
+                                      plan.scheme);
       const auto stop = std::chrono::steady_clock::now();
 
       ParProblem lb;
@@ -685,10 +650,10 @@ int main(int argc, char** argv) {
       std::printf("optimality     : %.2fx predicted, %.2fx simulated vs "
                   "lower bound %.0f\n", plan.optimality_ratio,
                   par_optimality_ratio(simulated, lb), plan.lower_bound);
-      std::printf("transport      : %s, kernel variant %s, comm %.2f ms, "
-                  "compute %.2f ms (measured)\n",
-                  to_string(r.transport), to_string(plan.kernel_variant),
-                  r.comm_seconds * 1e3, r.compute_seconds * 1e3);
+      std::printf("transport      : %s, comm %.2f ms, compute %.2f ms "
+                  "(measured)\n",
+                  to_string(r.transport), r.comm_seconds * 1e3,
+                  r.compute_seconds * 1e3);
       if (const auto* ct = dynamic_cast<const CountingTransport*>(tp.get())) {
         std::printf("verify counts  : %lld collectives matched the "
                     "simulator word-for-word (%lld words, %lld messages "
@@ -727,7 +692,7 @@ int main(int argc, char** argv) {
       }
       const auto start = std::chrono::steady_clock::now();
       const ParMttkrpResult r = par_mttkrp_stationary(
-          *tp, x, factors, mode, g, collectives, scheme, variant);
+          *tp, x, factors, mode, g, collectives, scheme);
       const auto stop = std::chrono::steady_clock::now();
       ParProblem lb;
       lb.dims = dims;
